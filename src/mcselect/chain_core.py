@@ -148,6 +148,17 @@ class SubsetMask:
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())
 
+    def subsets(self) -> Iterator["SubsetMask"]:
+        """Every subset of this mask, in binary counting order over its
+        members (the first member is the lowest bit)."""
+        positions = self.indices()
+        for code in range(1 << len(positions)):
+            bits = 0
+            for t, p in enumerate(positions):
+                if code >> t & 1:
+                    bits |= 1 << p
+            yield SubsetMask(bits, self.d)
+
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.d and bool(self.bits >> i & 1)
 
@@ -219,6 +230,10 @@ class Distribution:
             raise ValidationError(
                 f"distribution has {probs.shape[0]} entries for a space of size {self.space.total}"
             )
+        finite = np.isfinite(probs)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValidationError(f"probability at index {i} is {float(probs[i])!r}, not finite")
         if np.any(probs < 0):
             raise ValidationError(f"negative probability at index {int(np.argmin(probs))}")
         if abs(float(probs.sum()) - 1.0) > DISTRIBUTION_TOL:
@@ -286,10 +301,13 @@ class EdgeMeasure:
 def validate(P: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> None:
     """Raise :class:`ValidationError` naming the first offending row/entry."""
     rows = P.rows
-    bad = np.argwhere((rows < 0) | (rows > 1))
+    # written so that NaN, for which every comparison is False, fails too
+    bad = np.argwhere(~((rows >= 0) & (rows <= 1)))
     if bad.size:
         x, y = (int(v) for v in bad[0])
-        raise ValidationError(f"entry ({x}, {y}) = {rows[x, y]!r} outside [0, 1]")
+        value = float(rows[x, y])
+        problem = "outside [0, 1]" if math.isfinite(value) else "is not finite"
+        raise ValidationError(f"entry ({x}, {y}) = {value!r} {problem}")
     sums = rows.sum(axis=1)
     off = np.abs(sums - 1.0)
     worst = int(np.argmax(off))

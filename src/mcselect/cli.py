@@ -30,6 +30,7 @@ import numpy as np
 
 from . import functionals, models, objectives, optimizers
 from .chain_core import (
+    ConvergenceError,
     Distribution,
     GuardError,
     SubsetMask,
@@ -41,7 +42,6 @@ from .chain_core import (
     reorder_coordinates,
     stationary_distribution,
     tensor,
-    validate,
     worst_case_tv,
 )
 from .objectives import Partition
@@ -102,6 +102,8 @@ def _batch_plan(spec: str, m: int) -> list[int]:
         raise click.UsageError(f"bad batch sizes {spec!r}: {err}") from err
     if sum(sizes) != m:
         raise click.UsageError(f"batch sizes {sizes} sum to {sum(sizes)}, expected m={m}")
+    if any(q <= 0 for q in sizes):
+        raise click.UsageError(f"batch sizes {sizes} must be positive")
     return sizes
 
 
@@ -399,7 +401,7 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
     del seed  # selection is deterministic; accepted for interface symmetry
     try:
         P, pi = _load_model(model, chain_file, d, temperature, field)
-    except (ValidationError, OSError) as err:
+    except (ValidationError, ConvergenceError, OSError) as err:
         click.echo(f"model error: {err}", err=True)
         sys.exit(EXIT_MODEL)
     except GuardError as err:
@@ -434,6 +436,13 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
     ms = list(range(m, (m_max if m_max is not None else m) + 1))
     if not ms:
         raise click.UsageError(f"empty m range {m}..{m_max}")
+    if algorithm == "local-search" and epsilon <= 0:
+        raise click.UsageError("--epsilon must be positive")
+    try:
+        for budget in ms:
+            dec.validate_m(budget)
+    except ValidationError as err:
+        raise click.UsageError(str(err)) from err
     try:
         rows = run_selection(dec, algorithm, ms, epsilon=epsilon,
                              batch_spec=batch_sizes, oracle=oracle)
@@ -441,7 +450,8 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
         click.echo(f"guard violation: {err}", err=True)
         sys.exit(EXIT_GUARD)
     except ValidationError as err:
-        raise click.UsageError(str(err)) from err
+        click.echo(f"model error: {err}", err=True)
+        sys.exit(EXIT_MODEL)
 
     _write_text(out, selection_csv(dec, rows))
     if out is not None and oracle:
@@ -511,19 +521,16 @@ def cmd_mcmc(d, temperature, field, n_max, split, samples, seed, out, json_out, 
 def cmd_validate(chain_file) -> None:
     """Validate a chain file and report its stationary residual."""
     try:
-        P, pi = models.load_chain(chain_file)
-    except (ValidationError, OSError) as err:
+        P, pi = models.load_chain(chain_file)  # validates P and a stored pi
+        source = "from file"
+        if pi is None:
+            pi, source = stationary_distribution(P), "recomputed"
+    except (ValidationError, ConvergenceError, OSError) as err:
         click.echo(f"invalid chain file: {err}", err=True)
         sys.exit(EXIT_MODEL)
     except GuardError as err:
         click.echo(f"guard violation: {err}", err=True)
         sys.exit(EXIT_GUARD)
-    validate(P)
-    if pi is None:
-        pi = stationary_distribution(P)
-        source = "recomputed"
-    else:
-        source = "from file"
     residual = float(np.abs(pi.probs @ P.rows - pi.probs).sum())
     click.echo(
         f"ok: {P.space.d} coordinates, {P.space.total} states, "

@@ -12,6 +12,11 @@ Each catalog entry records
 * admissibility bounds on the cardinality constraint, where the problem
   has them.
 
+Every entry is one row of ``CRITERIA``, stated on a tuple of parts below a
+ceiling.  A subset problem is the k=1 case of its partition twin, with the
+ceiling ``(ground,)`` and weights keyed by element; only ``dist2stat`` and
+``dist2fact-fixed`` have no twin.
+
 The beta constant shifts g and c equally, so it never affects optimizer
 trajectories; it only enters the reported bound certificates.  Defaults take
 the admissibility bound with equality, the tightest choice that keeps c
@@ -20,6 +25,7 @@ non-negative.  Optimizers consume c through its per-element weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -42,29 +48,15 @@ from .functionals import TERM_FLOOR, assert_stationary, kl_rate
 
 PRODUCT_FORM_TOL = 1e-10
 
-SUBSET_PROBLEMS = (
-    "entropy",
-    "entropy-product",
-    "dist2fact",
-    "dist2indp",
-    "dist2indp-complement",
-    "dist2stat",
-    "dist2stat-product",
-    "dist2stat-complement",
-    "dist2fact-fixed",
-)
-
-PARTITION_PROBLEMS = (
-    "k-entropy",
-    "k-entropy-product",
-    "k-dist2fact",
-    "k-dist2indp",
-    "k-dist2indp-complement",
-    "k-dist2stat",
-    "k-dist2stat-complement",
-)
-
 Parts = tuple[SubsetMask, ...]
+
+
+def union_of(parts: Parts) -> SubsetMask:
+    """The coordinates covered by any of the groups."""
+    bits = 0
+    for part in parts:
+        bits |= part.bits
+    return SubsetMask(bits, parts[0].d)
 
 
 @dataclass(frozen=True)
@@ -101,16 +93,7 @@ class Partition:
         return self.parts[0].d
 
     def support(self) -> SubsetMask:
-        bits = 0
-        for part in self.parts:
-            bits |= part.bits
-        return SubsetMask(bits, self.d)
-
-    @classmethod
-    def empty_like(cls, ceiling: Sequence[SubsetMask]) -> "Partition":
-        caps = tuple(ceiling)
-        d = caps[0].d
-        return cls(tuple(SubsetMask.empty(d) for _ in caps), caps)
+        return union_of(self.parts)
 
 
 def is_product_form(pi: Distribution, tol: float = PRODUCT_FORM_TOL) -> bool:
@@ -144,11 +127,8 @@ class Workspace:
     def full(self) -> SubsetMask:
         return SubsetMask.full(self.d)
 
-    @staticmethod
-    def _entropy(values: np.ndarray) -> float:
-        w = values.reshape(-1)
-        w = w[w > TERM_FLOOR]
-        return float(-(w * np.log(w)).sum())
+    def single(self, e: int) -> SubsetMask:
+        return SubsetMask.of(self.d, (e,))
 
     def _edge_entropy(self, mask: SubsetMask) -> float:
         cached = self._H_edge.get(mask.bits)
@@ -157,7 +137,8 @@ class Workspace:
         keep = set(mask.indices())
         drop = tuple(i for i in range(self.d) if i not in keep)
         axes = drop + tuple(self.d + i for i in drop)
-        value = self._entropy(self._edge_cube.sum(axis=axes) if axes else self._edge_cube)
+        value = functionals.shannon_entropy(
+            self._edge_cube.sum(axis=axes) if axes else self._edge_cube)
         self._H_edge[mask.bits] = value
         return value
 
@@ -168,7 +149,7 @@ class Workspace:
             return cached
         keep = set(mask.indices())
         drop = tuple(i for i in range(self.d) if i not in keep)
-        value = self._entropy(self._pi_cube.sum(axis=drop) if drop else self._pi_cube)
+        value = functionals.shannon_entropy(self._pi_cube.sum(axis=drop) if drop else self._pi_cube)
         self._H_pi[mask.bits] = value
         return value
 
@@ -179,7 +160,7 @@ class Workspace:
     def dist_to_independence(self, mask: SubsetMask) -> float:
         if mask.size <= 1:
             return 0.0
-        singles = sum(self.entropy_rate(SubsetMask.of(self.d, (i,))) for i in mask)
+        singles = sum(self.entropy_rate(self.single(i)) for i in mask)
         return singles - self.entropy_rate(mask)
 
     def dist_to_stationarity(self, mask: SubsetMask) -> float:
@@ -197,10 +178,9 @@ class Workspace:
 
     def split_divergence(self, block: SubsetMask, e: int) -> float:
         """D(P_A || P_{A - e} x P_e) for e in the block A."""
-        single = SubsetMask.of(self.d, (e,))
         return (
             self.entropy_rate(block.remove(e))
-            + self.entropy_rate(single)
+            + self.entropy_rate(self.single(e))
             - self.entropy_rate(block)
         )
 
@@ -270,6 +250,8 @@ class ObjectiveDecomposition:
             raise ValidationError(
                 f"{self.problem_id} requires m <= {self.max_support}, got {m}"
             )
+        if m > self.ground.size:
+            raise ValidationError(f"budget m={m} exceeds the ground set of size {self.ground.size}")
 
 
 def _require_product_form(pi: Distribution, problem_id: str, heuristic: bool) -> tuple[str, ...]:
@@ -318,16 +300,9 @@ def _direct_entropy_rate(P: TransitionMatrix, pi: Distribution, mask: SubsetMask
     return functionals.entropy_rate(project_keep_in(P, pi, mask), marginalize(pi, mask))
 
 
-def _union_bits(parts: Parts) -> int:
-    bits = 0
-    for part in parts:
-        bits |= part.bits
-    return bits
-
-
 def _direct_k_dist2fact(P: TransitionMatrix, pi: Distribution, parts: Parts) -> float:
     d = P.space.d
-    remainder = SubsetMask(_union_bits(parts), d).complement()
+    remainder = union_of(parts).complement()
     if remainder.size == d:
         return 0.0
     blocks = [project_keep_in(P, pi, part) for part in parts]
@@ -338,6 +313,256 @@ def _direct_k_dist2fact(P: TransitionMatrix, pi: Distribution, parts: Parts) -> 
     labels += remainder.indices()
     L = reorder_coordinates(tensor(blocks), labels)
     return kl_rate(P, L, pi).value
+
+
+def _dist2fact(ws: Workspace, caps: Parts, parts: Parts) -> float:
+    total = sum(ws.entropy_rate(part) for part in parts)
+    remainder = union_of(parts).complement()
+    return total + ws.entropy_rate(remainder) - ws.entropy_rate(ws.full())
+
+
+def _dist2fact_fixed(ws: Workspace, caps: Parts, parts: Parts) -> float:
+    (S,), (ground,) = parts, caps
+    if not S.issubset(ground):
+        raise ValidationError("S overlaps the fixed set W")
+    return ws.dist_to_factorizability_fixed(ground.complement(), S)
+
+
+def _block_order_dist2fact(P: TransitionMatrix, pi: Distribution) -> tuple[Callable, Callable]:
+    """Cached and direct dist2fact with the factorized reference kernel
+    indexed in block order: the groups first, the remainder last."""
+
+    def direct(parts: Parts) -> float:
+        return _block_order_kl(P, pi, tuple(parts) + (union_of(parts).complement(),))
+
+    cache: dict[tuple[int, ...], float] = {}
+
+    def cached(parts: Parts) -> float:
+        key = tuple(p.bits for p in parts)
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = direct(parts)
+        return value
+
+    return cached, direct
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One catalog row, stated on a tuple of parts below the ceiling caps.
+
+    ``value(ws, caps, parts)`` is the cached value, read according to ``form``:
+
+    * "f+c": value is f and g = f + c (the distorted construction);
+    * "g": value is g itself;
+    * "shift": g = shift - value, with shift the value at the empty parts.
+
+    ``direct(P, pi, caps, parts)`` evaluates f from the defining divergences,
+    and ``weight(ws, caps, j, e, value)`` is the modular weight of element e
+    in slot j.  ``beta`` is "zero" (fixed at 0), "nonpositive" (default 0)
+    or a function (ws, caps) -> admissibility bound, which is then also the
+    default; ``subset_beta`` replaces it in the k=1 subset view.
+    ``product_form`` is "required", or "heuristic" when a non-product pi is
+    allowed under ``heuristic=True``.  The support bounds take (d, k).
+    """
+
+    value: Callable
+    direct: Callable
+    weight: Callable | None = None
+    form: str = "f+c"
+    beta: str | Callable = "zero"
+    subset_beta: str | None = None
+    constraint: str = "le"
+    report_sign: float = 1.0
+    product_form: str | None = None
+    min_support: Callable[[int, int], int] | None = None
+    max_support: Callable[[int, int], int] | None = None
+    block_order: bool = False
+
+
+CRITERIA: dict[str, Criterion] = {
+    "k-entropy": Criterion(
+        value=lambda ws, caps, parts: sum(ws.entropy_rate(part) for part in parts),
+        direct=lambda P, pi, caps, parts: sum(_direct_entropy_rate(P, pi, part) for part in parts),
+        weight=lambda ws, caps, j, e, value: (
+            ws.entropy_rate(caps[j].remove(e)) - ws.entropy_rate(caps[j])),
+        beta=lambda ws, caps: -sum(math.log(ws.space.dims[e]) for cap in caps for e in cap),
+    ),
+    "k-entropy-product": Criterion(
+        # H(pi_S x P_S), the edge-measure entropy of the projected chain
+        value=lambda ws, caps, parts: sum(
+            ws.entropy_rate(part) + ws.entropy_pi(part) for part in parts),
+        direct=lambda P, pi, caps, parts: sum(_direct_entropy_rate(P, pi, part) for part in parts),
+        weight=lambda ws, caps, j, e, value: functionals.shannon_entropy(
+            marginalize(ws.pi, ws.single(e))),
+        form="g",
+        product_form="required",
+    ),
+    "k-dist2fact": Criterion(
+        value=_dist2fact,
+        direct=lambda P, pi, caps, parts: _direct_k_dist2fact(P, pi, parts),
+        weight=lambda ws, caps, j, e, value: (
+            value(caps[:j] + (caps[j].remove(e),) + caps[j + 1:]) - value(caps)),
+        beta=lambda ws, caps: -sum(
+            ws.entropy_rate(union_of(caps).complement()) + ws.entropy_rate(ws.single(e))
+            for cap in caps for e in cap),
+        subset_beta="nonpositive",
+        block_order=True,
+    ),
+    "k-dist2indp": Criterion(
+        value=lambda ws, caps, parts: -sum(ws.dist_to_independence(part) for part in parts),
+        direct=lambda P, pi, caps, parts: -sum(
+            functionals.distance_to_independence(P, pi, part) for part in parts),
+        weight=lambda ws, caps, j, e, value: ws.split_divergence(caps[j], e),
+        beta="nonpositive",
+        constraint="eq",
+        report_sign=-1.0,
+        min_support=lambda d, k: k + 1,
+    ),
+    "k-dist2indp-complement": Criterion(
+        value=lambda ws, caps, parts: sum(
+            ws.dist_to_independence(cap - part) for cap, part in zip(caps, parts)),
+        direct=lambda P, pi, caps, parts: -sum(
+            functionals.distance_to_independence(P, pi, cap - part)
+            for cap, part in zip(caps, parts)),
+        form="shift",
+        report_sign=-1.0,
+        max_support=lambda d, k: d - k - 1,
+    ),
+    "k-dist2stat": Criterion(
+        value=lambda ws, caps, parts: -sum(ws.dist_to_stationarity(part) for part in parts),
+        direct=lambda P, pi, caps, parts: -sum(
+            functionals.distance_to_stationarity(P, pi, part) for part in parts),
+        weight=lambda ws, caps, j, e, value: (
+            ws.split_divergence(caps[j], e) + ws.dist_to_stationarity(ws.single(e))),
+        beta="nonpositive",
+        constraint="eq",
+        report_sign=-1.0,
+        product_form="heuristic",
+    ),
+    "k-dist2stat-complement": Criterion(
+        value=lambda ws, caps, parts: sum(
+            ws.dist_to_stationarity(cap - part) for cap, part in zip(caps, parts)),
+        direct=lambda P, pi, caps, parts: -sum(
+            functionals.distance_to_stationarity(P, pi, cap - part)
+            for cap, part in zip(caps, parts)),
+        form="shift",
+        report_sign=-1.0,
+        product_form="heuristic",
+    ),
+    # subset-only rows, read with exactly one part
+    "dist2stat": Criterion(
+        # raw monotone target for the batch greedy algorithm; no decomposition
+        value=lambda ws, caps, parts: ws.dist_to_stationarity(parts[0]),
+        direct=lambda P, pi, caps, parts: functionals.distance_to_stationarity(P, pi, parts[0]),
+        form="g",
+        constraint="eq",
+    ),
+    "dist2fact-fixed": Criterion(
+        value=_dist2fact_fixed,
+        direct=lambda P, pi, caps, parts: functionals.distance_to_factorizability_fixed(
+            P, pi, caps[0].complement(), parts[0]),
+        form="g",
+        constraint="eq",
+    ),
+}
+
+# subset problem id -> catalog row; twins are the k=1 case with ceiling (ground,)
+SUBSET_ROWS = {
+    "entropy": "k-entropy",
+    "entropy-product": "k-entropy-product",
+    "dist2fact": "k-dist2fact",
+    "dist2indp": "k-dist2indp",
+    "dist2indp-complement": "k-dist2indp-complement",
+    "dist2stat": "dist2stat",
+    "dist2stat-product": "k-dist2stat",
+    "dist2stat-complement": "k-dist2stat-complement",
+    "dist2fact-fixed": "dist2fact-fixed",
+}
+
+SUBSET_PROBLEMS = tuple(SUBSET_ROWS)
+PARTITION_PROBLEMS = tuple(pid for pid in CRITERIA if pid.startswith("k-"))
+
+
+def _build(
+    problem_id: str,
+    kind: str,
+    P: TransitionMatrix,
+    pi: Distribution,
+    ws: Workspace,
+    caps: Parts,
+    *,
+    beta: float | None,
+    heuristic: bool,
+    block_order: bool,
+    m: int | None,
+) -> ObjectiveDecomposition:
+    """Read one catalog row on the ceiling ``caps``: the partition problem
+    itself, or for a subset problem its one-part view keyed by element."""
+    row = CRITERIA[SUBSET_ROWS[problem_id] if kind == "subset" else problem_id]
+    notes: tuple[str, ...] = ()
+    if row.product_form == "required" and not is_product_form(pi):
+        raise ValidationError(f"{problem_id} requires a product-form stationary distribution")
+    if row.product_form == "heuristic":
+        notes = _require_product_form(pi, problem_id, heuristic)
+
+    if block_order:
+        notes = ("block-order indexing of the factorized reference kernel "
+                 "(selected blocks first, not realigned)",)
+        value, direct = _block_order_dist2fact(P, pi)
+    else:
+        value = functools.partial(row.value, ws, caps)
+        direct = functools.partial(row.direct, P, pi, caps)
+
+    rule = row.subset_beta if kind == "subset" and row.subset_beta else row.beta
+    if rule == "zero":
+        beta, c_const = 0.0, 0.0
+    else:
+        bound = 0.0 if rule == "nonpositive" else rule(ws, caps)
+        beta = bound if beta is None else beta
+        if beta > bound + 1e-12:
+            raise ValidationError(
+                f"beta must be <= 0 for {problem_id}" if rule == "nonpositive"
+                else f"beta must be <= {bound} to keep c non-negative"
+            )
+        c_const = -beta
+
+    weights = {} if row.weight is None else {
+        (j, e): row.weight(ws, caps, j, e, value) for j, cap in enumerate(caps) for e in cap
+    }
+    shift = 0.0
+    if row.form == "shift":
+        shift = value(tuple(SubsetMask.empty(ws.d) for _ in caps))
+        g = lambda parts: shift - value(parts)
+    elif row.form == "g":
+        g = value
+    else:
+        g = lambda parts: value(parts) + c_const + sum(
+            weights[(j, e)] for j, part in enumerate(parts) for e in part
+        )
+
+    k = len(caps)
+    dec = ObjectiveDecomposition(
+        problem_id=problem_id,
+        kind=kind,
+        constraint=row.constraint,
+        ground=caps[0] if kind == "subset" else union_of(caps),
+        g=(lambda S: g((S,))) if kind == "subset" else g,
+        c_weights={e: w for (_, e), w in weights.items()} if kind == "subset" else weights,
+        c_const=c_const,
+        beta=beta,
+        shift=shift,
+        report_sign=row.report_sign,
+        f_direct=(lambda S: direct((S,))) if kind == "subset" else direct,
+        ceiling=None if kind == "subset" else caps,
+        min_support=row.min_support(ws.d, k) if row.min_support else None,
+        max_support=row.max_support(ws.d, k) if row.max_support else None,
+        notes=notes,
+        workspace=ws,
+    )
+    if m is not None:
+        dec.validate_m(m)
+    return dec
 
 
 def build_subset_objective(
@@ -355,196 +580,18 @@ def build_subset_objective(
 ) -> ObjectiveDecomposition:
     if problem_id not in SUBSET_PROBLEMS:
         raise ValidationError(f"unknown subset problem id {problem_id!r}")
-    if block_order and problem_id != "dist2fact":
+    if block_order and not CRITERIA[SUBSET_ROWS[problem_id]].block_order:
         raise ValidationError("block_order applies only to dist2fact")
     ws = workspace if workspace is not None else Workspace(P, pi, stationarity_tol)
-    d = ws.d
-    full = ws.full()
-    ground = full
-    notes: tuple[str, ...] = ()
-    min_support: int | None = None
-    max_support: int | None = None
-    shift = 0.0
-    report_sign = 1.0
-    constraint = "le"
-
-    if problem_id == "entropy":
-        beta_max = -sum(math.log(n) for n in ws.space.dims)
-        beta = beta_max if beta is None else beta
-        if beta > beta_max + 1e-12:
-            raise ValidationError(f"beta must be <= {beta_max} to keep c non-negative")
-        h_full = ws.entropy_rate(full)
-        weights = {e: ws.entropy_rate(full.remove(e)) - h_full for e in range(d)}
-        c_const = -beta
-
-        def g(S: SubsetMask) -> float:
-            return ws.entropy_rate(S) + c_const + sum(weights[e] for e in S)
-
-        f_direct = lambda S: _direct_entropy_rate(P, pi, S)
-
-    elif problem_id == "entropy-product":
-        if not is_product_form(pi):
-            raise ValidationError(
-                "entropy-product requires a product-form stationary distribution"
-            )
-        beta = 0.0
-        c_const = 0.0
-        weights = {
-            e: functionals.shannon_entropy(marginalize(pi, SubsetMask.of(d, (e,))))
-            for e in range(d)
-        }
-
-        def g(S: SubsetMask) -> float:
-            # H(pi_S x P_S), the edge-measure entropy of the projected chain
-            return ws.entropy_rate(S) + ws.entropy_pi(S)
-
-        f_direct = lambda S: _direct_entropy_rate(P, pi, S)
-
-    elif problem_id == "dist2fact":
-        beta = 0.0 if beta is None else beta
-        if beta > 1e-12:
-            raise ValidationError("beta must be <= 0 for dist2fact")
-        c_const = -beta
-        if block_order:
-            notes = ("block-order indexing of the factorized reference kernel "
-                     "(selected blocks first, not realigned)",)
-            cache: dict[int, float] = {}
-
-            def f_fact(S: SubsetMask) -> float:
-                value = cache.get(S.bits)
-                if value is None:
-                    value = _block_order_kl(P, pi, (S, S.complement()))
-                    cache[S.bits] = value
-                return value
-
-            weights = {}
-            for e in range(d):
-                single = SubsetMask.of(d, (e,))
-                # per-element penalty D(P || P_-e x P_e), complement block first
-                weights[e] = _block_order_kl(P, pi, (single.complement(), single))
-        else:
-            f_fact = lambda S: ws.dist_to_factorizability(S)
-            weights = {e: ws.dist_to_factorizability(SubsetMask.of(d, (e,))) for e in range(d)}
-
-        def g(S: SubsetMask) -> float:
-            return f_fact(S) + c_const + sum(weights[e] for e in S)
-
-        if block_order:
-            f_direct = lambda S: _block_order_kl(P, pi, (S, S.complement()))
-        else:
-            f_direct = lambda S: functionals.distance_to_factorizability(P, pi, S)
-
-    elif problem_id == "dist2indp":
-        beta = 0.0 if beta is None else beta
-        if beta > 1e-12:
-            raise ValidationError("beta must be <= 0 for dist2indp")
-        c_const = -beta
-        constraint = "eq"
-        min_support = 2
-        report_sign = -1.0
-        weights = {e: ws.dist_to_factorizability(SubsetMask.of(d, (e,))) for e in range(d)}
-
-        def g(S: SubsetMask) -> float:
-            return -ws.dist_to_independence(S) + c_const + sum(weights[e] for e in S)
-
-        f_direct = lambda S: -functionals.distance_to_independence(P, pi, S)
-
-    elif problem_id == "dist2indp-complement":
-        beta = 0.0
-        c_const = 0.0
-        weights = {}
-        max_support = d - 2
-        report_sign = -1.0
-        shift = ws.dist_to_independence(full)
-
-        def g(S: SubsetMask) -> float:
-            return shift - ws.dist_to_independence(S.complement())
-
-        f_direct = lambda S: -functionals.distance_to_independence(P, pi, S.complement())
-
-    elif problem_id == "dist2stat":
-        # Raw monotone target for the batch greedy algorithm; no decomposition.
-        beta = 0.0
-        c_const = 0.0
-        weights = {}
-        constraint = "eq"
-
-        def g(S: SubsetMask) -> float:
-            return ws.dist_to_stationarity(S)
-
-        f_direct = lambda S: functionals.distance_to_stationarity(P, pi, S)
-
-    elif problem_id == "dist2stat-product":
-        notes = _require_product_form(pi, problem_id, heuristic)
-        beta = 0.0 if beta is None else beta
-        if beta > 1e-12:
-            raise ValidationError("beta must be <= 0 for dist2stat-product")
-        c_const = -beta
-        constraint = "eq"
-        report_sign = -1.0
-        weights = {
-            e: ws.dist_to_factorizability(SubsetMask.of(d, (e,)))
-            + ws.dist_to_stationarity(SubsetMask.of(d, (e,)))
-            for e in range(d)
-        }
-
-        def g(S: SubsetMask) -> float:
-            return -ws.dist_to_stationarity(S) + c_const + sum(weights[e] for e in S)
-
-        f_direct = lambda S: -functionals.distance_to_stationarity(P, pi, S)
-
-    elif problem_id == "dist2stat-complement":
-        notes = _require_product_form(pi, problem_id, heuristic)
-        beta = 0.0
-        c_const = 0.0
-        weights = {}
-        report_sign = -1.0
-        shift = ws.dist_to_stationarity(full)
-
-        def g(S: SubsetMask) -> float:
-            return shift - ws.dist_to_stationarity(S.complement())
-
-        f_direct = lambda S: -functionals.distance_to_stationarity(P, pi, S.complement())
-
-    elif problem_id == "dist2fact-fixed":
+    ground = ws.full()
+    if problem_id == "dist2fact-fixed":
         if W is None:
             raise ValidationError("dist2fact-fixed needs the fixed coordinate set W")
-        if W.d != d:
+        if W.d != ws.d:
             raise ValidationError("W lives in the wrong universe")
-        beta = 0.0
-        c_const = 0.0
-        weights = {}
         ground = W.complement()
-        constraint = "eq"
-        fixed = W
-
-        def g(S: SubsetMask) -> float:
-            if not S.issubset(ground):
-                raise ValidationError("S overlaps the fixed set W")
-            return ws.dist_to_factorizability_fixed(fixed, S)
-
-        f_direct = lambda S: functionals.distance_to_factorizability_fixed(P, pi, fixed, S)
-
-    dec = ObjectiveDecomposition(
-        problem_id=problem_id,
-        kind="subset",
-        constraint=constraint,
-        ground=ground,
-        g=g,
-        c_weights=weights,
-        c_const=c_const,
-        beta=beta,
-        shift=shift,
-        report_sign=report_sign,
-        f_direct=f_direct,
-        min_support=min_support,
-        max_support=max_support,
-        notes=notes,
-        workspace=ws,
-    )
-    if m is not None:
-        dec.validate_m(m)
-    return dec
+    return _build(problem_id, "subset", P, pi, ws, (ground,), beta=beta, heuristic=heuristic,
+                  block_order=block_order, m=m)
 
 
 def build_partition_objective(
@@ -562,212 +609,12 @@ def build_partition_objective(
 ) -> ObjectiveDecomposition:
     if problem_id not in PARTITION_PROBLEMS:
         raise ValidationError(f"unknown partition problem id {problem_id!r}")
-    if block_order and problem_id != "k-dist2fact":
+    if block_order and not CRITERIA[problem_id].block_order:
         raise ValidationError("block_order applies only to k-dist2fact")
     caps: Parts = tuple(V.parts if isinstance(V, Partition) else V)
     Partition(caps)  # checks pairwise disjointness
     ws = workspace if workspace is not None else Workspace(P, pi, stationarity_tol)
-    d = ws.d
-    if caps[0].d != d:
+    if caps[0].d != ws.d:
         raise ValidationError("ceiling lives in the wrong universe")
-    k = len(caps)
-    support_v = Partition(caps).support()
-    notes: tuple[str, ...] = ()
-    min_support: int | None = None
-    max_support: int | None = None
-    shift = 0.0
-    report_sign = 1.0
-    constraint = "le"
-    single = lambda e: SubsetMask.of(d, (e,))
-
-    if problem_id == "k-entropy":
-        beta_max = -sum(math.log(ws.space.dims[e]) for cap in caps for e in cap)
-        beta = beta_max if beta is None else beta
-        if beta > beta_max + 1e-12:
-            raise ValidationError(f"beta must be <= {beta_max} to keep c non-negative")
-        c_const = -beta
-        weights = {
-            (j, e): ws.entropy_rate(cap.remove(e)) - ws.entropy_rate(cap)
-            for j, cap in enumerate(caps)
-            for e in cap
-        }
-
-        def g(parts: Parts) -> float:
-            base = sum(ws.entropy_rate(part) for part in parts)
-            return base + c_const + sum(
-                weights[(j, e)] for j, part in enumerate(parts) for e in part
-            )
-
-        f_direct = lambda parts: sum(_direct_entropy_rate(P, pi, part) for part in parts)
-
-    elif problem_id == "k-entropy-product":
-        if not is_product_form(pi):
-            raise ValidationError(
-                "k-entropy-product requires a product-form stationary distribution"
-            )
-        beta = 0.0
-        c_const = 0.0
-        weights = {
-            (j, e): functionals.shannon_entropy(marginalize(pi, single(e)))
-            for j, cap in enumerate(caps)
-            for e in cap
-        }
-
-        def g(parts: Parts) -> float:
-            return sum(ws.entropy_rate(part) + ws.entropy_pi(part) for part in parts)
-
-        f_direct = lambda parts: sum(_direct_entropy_rate(P, pi, part) for part in parts)
-
-    elif problem_id == "k-dist2fact":
-        rest = support_v.complement()
-        h_rest = ws.entropy_rate(rest)
-        beta_max = -sum(
-            h_rest + ws.entropy_rate(single(e)) for cap in caps for e in cap
-        )
-        beta = beta_max if beta is None else beta
-        if beta > beta_max + 1e-12:
-            raise ValidationError(f"beta must be <= {beta_max} to keep c non-negative")
-        c_const = -beta
-
-        if block_order:
-            notes = ("block-order indexing of the factorized reference kernel "
-                     "(selected blocks first, not realigned)",)
-            cache: dict[tuple[int, ...], float] = {}
-
-            def f_fast(parts: Parts) -> float:
-                key = tuple(p.bits for p in parts)
-                value = cache.get(key)
-                if value is None:
-                    remainder = SubsetMask(_union_bits(parts), d).complement()
-                    value = _block_order_kl(P, pi, tuple(parts) + (remainder,))
-                    cache[key] = value
-                return value
-
-            def f_direct(parts: Parts) -> float:
-                remainder = SubsetMask(_union_bits(parts), d).complement()
-                return _block_order_kl(P, pi, tuple(parts) + (remainder,))
-
-        else:
-
-            def f_fast(parts: Parts) -> float:
-                total = sum(ws.entropy_rate(part) for part in parts)
-                remainder = SubsetMask(_union_bits(parts), d).complement()
-                return total + ws.entropy_rate(remainder) - ws.entropy_rate(ws.full())
-
-            f_direct = lambda parts: _direct_k_dist2fact(P, pi, parts)
-
-        f_at_v = f_fast(caps)
-        weights = {
-            (j, e): f_fast(caps[:j] + (caps[j].remove(e),) + caps[j + 1:]) - f_at_v
-            for j, cap in enumerate(caps)
-            for e in cap
-        }
-
-        def g(parts: Parts) -> float:
-            return f_fast(parts) + c_const + sum(
-                weights[(j, e)] for j, part in enumerate(parts) for e in part
-            )
-
-    elif problem_id == "k-dist2indp":
-        beta = 0.0 if beta is None else beta
-        if beta > 1e-12:
-            raise ValidationError("beta must be <= 0 for k-dist2indp")
-        c_const = -beta
-        constraint = "eq"
-        min_support = k + 1
-        report_sign = -1.0
-        weights = {
-            (j, e): ws.split_divergence(cap, e) for j, cap in enumerate(caps) for e in cap
-        }
-
-        def g(parts: Parts) -> float:
-            base = -sum(ws.dist_to_independence(part) for part in parts)
-            return base + c_const + sum(
-                weights[(j, e)] for j, part in enumerate(parts) for e in part
-            )
-
-        f_direct = lambda parts: -sum(
-            functionals.distance_to_independence(P, pi, part) for part in parts
-        )
-
-    elif problem_id == "k-dist2indp-complement":
-        beta = 0.0
-        c_const = 0.0
-        weights = {}
-        max_support = d - k - 1
-        report_sign = -1.0
-        shift = sum(ws.dist_to_independence(cap) for cap in caps)
-
-        def g(parts: Parts) -> float:
-            return shift - sum(
-                ws.dist_to_independence(cap - part) for cap, part in zip(caps, parts)
-            )
-
-        f_direct = lambda parts: -sum(
-            functionals.distance_to_independence(P, pi, cap - part)
-            for cap, part in zip(caps, parts)
-        )
-
-    elif problem_id == "k-dist2stat":
-        notes = _require_product_form(pi, problem_id, heuristic)
-        beta = 0.0 if beta is None else beta
-        if beta > 1e-12:
-            raise ValidationError("beta must be <= 0 for k-dist2stat")
-        c_const = -beta
-        constraint = "eq"
-        report_sign = -1.0
-        weights = {
-            (j, e): ws.split_divergence(cap, e) + ws.dist_to_stationarity(single(e))
-            for j, cap in enumerate(caps)
-            for e in cap
-        }
-
-        def g(parts: Parts) -> float:
-            base = -sum(ws.dist_to_stationarity(part) for part in parts)
-            return base + c_const + sum(
-                weights[(j, e)] for j, part in enumerate(parts) for e in part
-            )
-
-        f_direct = lambda parts: -sum(
-            functionals.distance_to_stationarity(P, pi, part) for part in parts
-        )
-
-    elif problem_id == "k-dist2stat-complement":
-        notes = _require_product_form(pi, problem_id, heuristic)
-        beta = 0.0
-        c_const = 0.0
-        weights = {}
-        report_sign = -1.0
-        shift = sum(ws.dist_to_stationarity(cap) for cap in caps)
-
-        def g(parts: Parts) -> float:
-            return shift - sum(
-                ws.dist_to_stationarity(cap - part) for cap, part in zip(caps, parts)
-            )
-
-        f_direct = lambda parts: -sum(
-            functionals.distance_to_stationarity(P, pi, cap - part)
-            for cap, part in zip(caps, parts)
-        )
-
-    dec = ObjectiveDecomposition(
-        problem_id=problem_id,
-        kind="partition",
-        constraint=constraint,
-        ground=support_v,
-        g=g,
-        c_weights=weights,
-        c_const=c_const,
-        beta=beta,
-        shift=shift,
-        report_sign=report_sign,
-        f_direct=f_direct,
-        ceiling=caps,
-        min_support=min_support,
-        max_support=max_support,
-        notes=notes,
-        workspace=ws,
-    )
-    if m is not None:
-        dec.validate_m(m)
-    return dec
+    return _build(problem_id, "partition", P, pi, ws, caps, beta=beta, heuristic=heuristic,
+                  block_order=block_order, m=m)

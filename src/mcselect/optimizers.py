@@ -65,6 +65,51 @@ def _check_budget(m: int, ground: SubsetMask, constraint: str) -> None:
         raise ValidationError(f"unknown constraint {constraint!r}")
 
 
+def _scan(
+    g: Callable[[Parts], float],
+    caps: Parts,
+    constraint: str,
+    kappa: Sequence[float],
+    penalty: Callable[[int, int], float],
+    slotted: bool,
+) -> tuple[Parts, tuple[TrajectoryStep, ...]]:
+    """The candidate scan behind the greedy family, one step per kappa.
+
+    Step i adds the (slot j, element e in caps[j] minus S_j) maximizing
+    kappa[i] * (g(S + e in slot j) - g(S)) - penalty(j, e); a subset is the
+    one-slot case, recorded with slot None unless ``slotted``.  A rejected
+    step at kappa 1 ends the run, since nothing changes afterwards.
+    """
+    parts: Parts = tuple(SubsetMask.empty(cap.d) for cap in caps)
+    steps: list[TrajectoryStep] = []
+    g_current = g(parts)
+    for i, k_i in enumerate(kappa):
+        best: tuple[int, int] | None = None
+        best_score = -math.inf
+        for j, cap in enumerate(caps):
+            for e in cap - parts[j]:
+                grown = parts[:j] + (parts[j].add(e),) + parts[j + 1 :]
+                score = k_i * (g(grown) - g_current) - penalty(j, e)
+                if score > best_score:
+                    best, best_score = (j, e), score
+        if best is None:
+            break  # every ceiling group exhausted: remaining iterations no-op
+        j, e = best
+        accept = constraint == "eq" or best_score > 0.0
+        steps.append(TrajectoryStep(i, e, j if slotted else None, best_score, accept))
+        if accept:
+            parts = parts[:j] + (parts[j].add(e),) + parts[j + 1 :]
+            g_current = g(parts)
+        elif k_i == 1.0:
+            break
+    return parts, tuple(steps)
+
+
+def _distortion(m: int) -> list[float]:
+    """kappa_i = (1 - 1/m)^(m - (i+1)) of the distorted greedy algorithms."""
+    return [(1.0 - 1.0 / m) ** (m - (i + 1)) for i in range(m)]
+
+
 def greedy(
     f: Callable[[SubsetMask], float],
     ground: SubsetMask,
@@ -78,24 +123,9 @@ def greedy(
     run stops early once it is not, since nothing changes afterwards).
     """
     _check_budget(m, ground, constraint)
-    S = SubsetMask.empty(ground.d)
-    current = f(S)
-    steps: list[TrajectoryStep] = []
-    for i in range(m):
-        best_e, best_gain = -1, -math.inf
-        for e in ground - S:
-            gain = f(S.add(e)) - current
-            if gain > best_gain:
-                best_e, best_gain = e, gain
-        if best_e < 0:
-            break
-        accept = constraint == "eq" or best_gain > 0.0
-        steps.append(TrajectoryStep(i, best_e, None, best_gain, accept))
-        if not accept:
-            break
-        S = S.add(best_e)
-        current += best_gain
-    return RunResult(S, f(S), tuple(steps))
+    (S,), steps = _scan(lambda parts: f(parts[0]), (ground,), constraint, [1.0] * m,
+                        lambda j, e: 0.0, slotted=False)
+    return RunResult(S, f(S), steps)
 
 
 def distorted_greedy(dec: ObjectiveDecomposition, m: int) -> RunResult:
@@ -103,27 +133,10 @@ def distorted_greedy(dec: ObjectiveDecomposition, m: int) -> RunResult:
     (1 - 1/m)^(m-(i+1)) (g(S + e) - g(S)) - c({e})."""
     if dec.kind != "subset":
         raise ValidationError("distorted_greedy expects a subset decomposition")
-    ground = dec.ground
-    _check_budget(m, ground, dec.constraint)
-    S = SubsetMask.empty(ground.d)
-    steps: list[TrajectoryStep] = []
-    if m > 0:
-        g_current = dec.g(S)
-        for i in range(m):
-            kappa = (1.0 - 1.0 / m) ** (m - (i + 1))
-            best_e, best_score = -1, -math.inf
-            for e in ground - S:
-                score = kappa * (dec.g(S.add(e)) - g_current) - dec.penalty(e)
-                if score > best_score:
-                    best_e, best_score = e, score
-            if best_e < 0:
-                continue
-            accept = best_score > 0.0 or dec.constraint == "eq"
-            steps.append(TrajectoryStep(i, best_e, None, best_score, accept))
-            if accept:
-                S = S.add(best_e)
-                g_current = dec.g(S)
-    return RunResult(S, dec.f(S), tuple(steps))
+    _check_budget(m, dec.ground, dec.constraint)
+    (S,), steps = _scan(lambda parts: dec.g(parts[0]), (dec.ground,), dec.constraint,
+                        _distortion(m), lambda j, e: dec.penalty(e), slotted=False)
+    return RunResult(S, dec.f(S), steps)
 
 
 def generalized_distorted_greedy(dec: ObjectiveDecomposition, m: int) -> RunResult:
@@ -131,31 +144,10 @@ def generalized_distorted_greedy(dec: ObjectiveDecomposition, m: int) -> RunResu
     over pairs (slot j, element e in V_j minus S_j)."""
     if dec.kind != "partition":
         raise ValidationError("generalized_distorted_greedy expects a partition decomposition")
-    caps = dec.ceiling
     _check_budget(m, dec.ground, dec.constraint)
-    parts: Parts = dec.empty_solution()
-    steps: list[TrajectoryStep] = []
-    if m > 0:
-        g_current = dec.g(parts)
-        for i in range(m):
-            kappa = (1.0 - 1.0 / m) ** (m - (i + 1))
-            best: tuple[int, int] | None = None
-            best_score = -math.inf
-            for j, cap in enumerate(caps):
-                for e in cap - parts[j]:
-                    grown = parts[:j] + (parts[j].add(e),) + parts[j + 1 :]
-                    score = kappa * (dec.g(grown) - g_current) - dec.penalty((j, e))
-                    if score > best_score:
-                        best, best_score = (j, e), score
-            if best is None:
-                continue  # every ceiling group exhausted: remaining iterations no-op
-            j, e = best
-            accept = best_score > 0.0 or dec.constraint == "eq"
-            steps.append(TrajectoryStep(i, e, j, best_score, accept))
-            if accept:
-                parts = parts[:j] + (parts[j].add(e),) + parts[j + 1 :]
-                g_current = dec.g(parts)
-    return RunResult(Partition(parts, caps), dec.f(parts), tuple(steps))
+    parts, steps = _scan(dec.g, dec.ceiling, dec.constraint, _distortion(m),
+                         lambda j, e: dec.penalty((j, e)), slotted=True)
+    return RunResult(Partition(parts, dec.ceiling), dec.f(parts), steps)
 
 
 def local_search(
@@ -251,22 +243,6 @@ def batch_greedy(
     return RunResult(S, f(S), tuple(steps))
 
 
-def _subset_candidates(ground: SubsetMask, order: str) -> Iterable[SubsetMask]:
-    positions = ground.indices()
-    n = len(positions)
-    codes: Iterable[int] = range(1 << n)
-    if order == "size":
-        codes = sorted(codes, key=lambda c: (c.bit_count(), c))
-    elif order != "index":
-        raise ValidationError(f"unknown enumeration order {order!r}")
-    for code in codes:
-        bits = 0
-        for t in range(n):
-            if code >> t & 1:
-                bits |= 1 << positions[t]
-        yield SubsetMask(bits, ground.d)
-
-
 def brute_force_opt(
     fn: Callable,
     domain: SubsetMask | Partition | Sequence[SubsetMask],
@@ -290,16 +266,15 @@ def brute_force_opt(
         raise GuardError(f"brute force over 2^{ground.size} candidates exceeds the 2^24 cap")
     if constraint not in ("le", "eq"):
         raise ValidationError(f"unknown constraint {constraint!r}")
-
-    slot_of: dict[int, int] = {}
-    if caps is not None:
-        for j, cap in enumerate(caps):
-            for e in cap:
-                slot_of[e] = j
+    candidates: Iterable[SubsetMask] = ground.subsets()
+    if order == "size":
+        candidates = sorted(candidates, key=lambda S: (S.size, S.bits))
+    elif order != "index":
+        raise ValidationError(f"unknown enumeration order {order!r}")
 
     best = None
     best_value = -math.inf
-    for subset in _subset_candidates(ground, order):
+    for subset in candidates:
         size = subset.size
         if size > m or (constraint == "eq" and size != m):
             continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .chain_core import GuardError, SubsetMask, ValidationError
-from .objectives import Parts
+from .objectives import Parts, union_of
 
 SUBMODULARITY_TOL = 1e-9
 RATIO_FLOOR = 1e-12
@@ -49,18 +49,6 @@ class RatioReport:
     gamma_witness: tuple[SubsetMask, SubsetMask] | None
 
 
-def _subsets(ground: SubsetMask) -> list[SubsetMask]:
-    positions = ground.indices()
-    out = []
-    for code in range(1 << len(positions)):
-        bits = 0
-        for t, p in enumerate(positions):
-            if code >> t & 1:
-                bits |= 1 << p
-        out.append(SubsetMask(bits, ground.d))
-    return out
-
-
 def check_submodular(
     f: Callable[[SubsetMask], float],
     ground: SubsetMask,
@@ -69,7 +57,7 @@ def check_submodular(
     """Exhaustively test f(S) + f(T) >= f(S u T) + f(S n T) - tol."""
     if ground.size > MAX_SUBSET_UNIVERSE:
         raise GuardError(f"submodularity check over 2^{ground.size} subsets exceeds the guard")
-    subsets = _subsets(ground)
+    subsets = list(ground.subsets())
     values = {S.bits: f(S) for S in subsets}
     worst = math.inf
     witness = None
@@ -107,7 +95,7 @@ def check_monotone(
     sign = 1.0 if nondecreasing else -1.0
     worst = math.inf
     witness = None
-    for S in _subsets(ground):
+    for S in ground.subsets():
         base = f(S)
         for e in ground - S:
             slack = sign * (f(S.add(e)) - base)
@@ -133,13 +121,6 @@ def _join(S: Parts, T: Parts) -> Parts:
                 others |= unions[j].bits
         out.append(SubsetMask(unions[i].bits & ~others, unions[i].d))
     return tuple(out)
-
-
-def _support_bits(parts: Parts) -> int:
-    bits = 0
-    for p in parts:
-        bits |= p.bits
-    return bits
 
 
 def _all_assignments(ground: SubsetMask, k: int, ceiling: Parts | None = None) -> list[Parts]:
@@ -216,7 +197,7 @@ def check_k_submodular(
     for T in tuples:
         if done:
             break
-        supp_t = _support_bits(T)
+        supp_t = union_of(T).bits
         free = [e for e in ground if not supp_t >> e & 1]
         assigned = [(j, e) for j, part in enumerate(T) for e in part]
         # every S with S_i subseteq T_i: drop any subset of the assignments
@@ -245,7 +226,7 @@ def check_k_submodular(
     for S in tuples:
         if done:
             break
-        supp = _support_bits(S)
+        supp = union_of(S).bits
         base = val(S)
         for e in ground:
             if supp >> e & 1:
@@ -277,7 +258,7 @@ def ratios(
         raise GuardError(f"ratio computation over 2^{ground.size} subsets exceeds the guard")
     if m < 1:
         raise ValidationError("ratios need a cardinality constraint m >= 1")
-    subsets = _subsets(ground)
+    subsets = list(ground.subsets())
     values = {S.bits: f(S) for S in subsets}
     eta, gamma = math.inf, math.inf
     eta_wit = gamma_wit = None
@@ -285,7 +266,7 @@ def ratios(
         base = values[S.bits]
         rest = ground - S
         singles = {e: values[S.add(e).bits] - base for e in rest}
-        for T in _subsets(rest):
+        for T in rest.subsets():
             if not 1 <= T.size <= m:
                 continue
             joint = values[(S | T).bits] - base

@@ -77,6 +77,11 @@ class TestSubsetMask:
         with pytest.raises(ValidationError):
             SubsetMask(1 << 3, 3)
 
+    def test_subsets_in_binary_counting_order(self):
+        subsets = list(SubsetMask.of(5, (1, 3, 4)).subsets())
+        assert [S.indices() for S in subsets] == [
+            (), (1,), (3,), (1, 3), (4,), (1, 4), (3, 4), (1, 3, 4)]
+
     def test_relabel_within(self):
         outer = SubsetMask.of(6, (1, 3, 4))
         inner = SubsetMask.of(6, (3,))
@@ -97,6 +102,16 @@ class TestValidate:
         rows = np.array([[0.5, 0.5], [-0.2, 1.2]])
         with pytest.raises(ValidationError, match=r"entry \(1, 0\)"):
             validate(tm((2,), rows))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_reported(self, bad):
+        rows = np.array([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(ValidationError, match=r"entry \(1, 0\) = (nan|inf) is not finite"):
+            validate(tm((2,), rows))
+
+    def test_non_finite_probability_rejected(self):
+        with pytest.raises(ValidationError, match="index 1 is nan, not finite"):
+            dist((3,), [0.5, float("nan"), 0.5])
 
     def test_curie_weiss_valid(self, cw10):
         validate(cw10[0])

@@ -122,6 +122,27 @@ class TestSelect:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--problem", "entropy", "--m", "1", "--m-max", "5"],  # beyond the ground set
+        ["--problem", "dist2indp-complement", "--m", "1", "--m-max", "3"],  # beyond d - 2
+        ["--problem", "dist2stat", "--algorithm", "batch", "--batch-sizes", "2,0", "--m", "2"],
+        ["--problem", "entropy", "--algorithm", "local-search", "--epsilon", "0"],
+    ])
+    def test_flag_errors_are_usage_errors(self, args):
+        result = CliRunner().invoke(main, ["select", "--d", "4", *args])
+        assert result.exit_code == 2
+
+    def test_drift_is_model_error(self, monkeypatch):
+        from mcselect import objectives
+
+        exact = objectives._direct_entropy_rate
+        monkeypatch.setattr(objectives, "_direct_entropy_rate",
+                            lambda P, pi, mask: exact(P, pi, mask) + 1e-6)
+        result = CliRunner().invoke(main, ["select", "--problem", "entropy", "--d", "4",
+                                           "--m", "1"])
+        assert result.exit_code == 3
+        assert "model error: objective drift" in result.output
+
     def test_missing_chain_file_is_model_error(self, tmp_path):
         result = CliRunner().invoke(main, [
             "select", "--problem", "entropy", "--model", "file",
@@ -236,3 +257,44 @@ class TestValidateCommand:
         result = CliRunner().invoke(main, ["validate", str(path)])
         assert result.exit_code == 0
         assert "recomputed" in result.output
+
+
+def write_chain_with_nan(path, P, pi):
+    """Chain file whose transition entry (0, 1) is NaN, as JSON writes it."""
+    rows = P.rows.tolist()
+    rows[0][1] = float("nan")
+    doc = {"d": P.space.d, "dims": list(P.space.dims), "transition": rows}
+    if pi is not None:
+        doc["stationary"] = pi.probs.tolist()
+    path.write_text(json.dumps(doc))
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("stored_pi", [True, False])
+    @pytest.mark.parametrize("command", ["validate", "select"])
+    def test_nan_transition_entry_is_model_error(self, tmp_path, cw4, stored_pi, command):
+        P, pi = cw4
+        path = tmp_path / "nan.json"
+        write_chain_with_nan(path, P, pi if stored_pi else None)
+        args = ["validate", str(path)] if command == "validate" else [
+            "select", "--problem", "entropy", "--model", "file", "--chain-file", str(path),
+            "--m", "1"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3
+        assert "entry (0, 1) = nan is not finite" in result.output
+        assert "ok" not in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "select"])
+    def test_stationary_solve_failure_is_model_error(self, tmp_path, command):
+        # two states that swap with probabilities 1e-9 and 2e-9: irreducible,
+        # but power iteration cannot reach its tolerance within its cap
+        eps = 1e-9
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({"d": 1, "dims": [2],
+                                    "transition": [[1 - eps, eps], [2 * eps, 1 - 2 * eps]]}))
+        args = ["validate", str(path)] if command == "validate" else [
+            "select", "--problem", "entropy", "--model", "file", "--chain-file", str(path),
+            "--m", "1"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3
+        assert "power iteration did not reach" in result.output

@@ -10,7 +10,6 @@ from .chain_core import (
     SubsetMask,
     TransitionMatrix,
     ValidationError,
-    edge_measure,
     marginalize,
     matrix_power,
     project_keep_in,
@@ -30,6 +29,8 @@ from .functionals import (
     distance_to_stationarity,
     entropy_rate,
     kl_rate,
+    kl_to_blocks,
+    kl_to_stationary,
     shannon_entropy,
 )
 from .models import CurieWeissParams, curie_weiss_chain, hamiltonian, load_chain, save_chain

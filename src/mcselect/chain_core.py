@@ -268,36 +268,6 @@ class TransitionMatrix:
             raise ValidationError(f"matrix shape {rows.shape} does not match space size {n}")
 
 
-@dataclass(frozen=True)
-class EdgeMeasure:
-    """The joint law pi(x) P(x, y) on the doubled space X x X."""
-
-    space: ProductStateSpace
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = _frozen(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        n = self.space.total
-        if mat.shape != (n, n):
-            raise ValidationError(f"edge measure shape {mat.shape} does not match space size {n}")
-        if abs(float(mat.sum()) - 1.0) > DISTRIBUTION_TOL:
-            raise ValidationError(f"edge measure sums to {mat.sum()!r}, not 1")
-
-    @property
-    def doubled_space(self) -> ProductStateSpace:
-        return ProductStateSpace(self.space.dims + self.space.dims)
-
-    def as_distribution(self) -> Distribution:
-        return Distribution(self.doubled_space, self.matrix.reshape(-1))
-
-    def source_marginal(self) -> Distribution:
-        return Distribution(self.space, self.matrix.sum(axis=1))
-
-    def target_marginal(self) -> Distribution:
-        return Distribution(self.space, self.matrix.sum(axis=0))
-
-
 def validate(P: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> None:
     """Raise :class:`ValidationError` naming the first offending row/entry."""
     rows = P.rows
@@ -371,9 +341,9 @@ def stationary_distribution(
     return Distribution(P.space, v)
 
 
-def _sum_axes(d: int, keep: tuple[int, ...]) -> tuple[int, ...]:
-    keep_set = set(keep)
-    return tuple(i for i in range(d) if i not in keep_set)
+def _dropped(mask: SubsetMask) -> tuple[int, ...]:
+    """The coordinates outside ``mask``: the axes a projection sums out."""
+    return tuple(i for i in range(mask.d) if i not in mask)
 
 
 def marginalize(dist: Distribution, mask: SubsetMask) -> Distribution:
@@ -383,48 +353,54 @@ def marginalize(dist: Distribution, mask: SubsetMask) -> Distribution:
         raise ValidationError("mask universe does not match space dimension")
     if mask.size == space.d:
         return dist
-    keep = mask.indices()
-    cube = dist.probs.reshape(space.dims)
-    out = cube.sum(axis=_sum_axes(space.d, keep))
+    out = dist.probs.reshape(space.dims).sum(axis=_dropped(mask))
     return Distribution(space.subspace(mask), out.reshape(-1))
 
 
-def project_edge(
-    P: TransitionMatrix, pi: Distribution, mask: SubsetMask
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project the edge measure pi(x)P(x,y) onto ``mask`` for both endpoints.
+class EdgeMeasure:
+    """The edge measure pi(x) P(x, y) of a chain, the one object every
+    projection of the chain is read from.
 
-    Returns ``(E_S, pi_S)`` as plain arrays; ``E_S`` has shape
-    ``(total_S, total_S)`` and row sums ``pi_S``.
+    It is built once, as a read-only cube over ``dims + dims`` (source
+    digits, then target digits), and pi must have full support.
     """
-    space = P.space
-    if mask.d != space.d:
-        raise ValidationError("mask universe does not match space dimension")
-    d = space.d
-    keep = mask.indices()
-    edge = pi.probs[:, None] * P.rows
-    if mask.size == d:
-        return edge, pi.probs.copy()
-    cube = edge.reshape(space.dims + space.dims)
-    drop = _sum_axes(d, keep)
-    axes = drop + tuple(d + i for i in drop)
-    reduced = cube.sum(axis=axes)
-    total_s = math.prod(space.dims[i] for i in keep)
-    e_s = reduced.reshape(total_s, total_s)
-    return e_s, e_s.sum(axis=1)
+
+    def __init__(self, P: TransitionMatrix, pi: Distribution):
+        if pi.space.dims != P.space.dims:
+            raise ValidationError("distribution and matrix live on different spaces")
+        pi.require_full_support()
+        self.P = P
+        self.pi = pi
+        self.space = P.space
+        dims = P.space.dims
+        self.cube = (pi.probs[:, None] * P.rows).reshape(dims + dims)
+        self.cube.setflags(write=False)
+
+    def project(self, mask: SubsetMask) -> np.ndarray:
+        """E_S(x_S, y_S) = sum of pi(x) P(x, y) over the hidden digits of both
+        endpoints, as a ``(total_S, total_S)`` array with row sums pi_S."""
+        if mask.d != self.space.d:
+            raise ValidationError("mask universe does not match space dimension")
+        drop = _dropped(mask)
+        total_s = math.prod(self.space.dims[i] for i in mask)
+        if not drop:
+            return self.cube.reshape(total_s, total_s)
+        reduced = self.cube.sum(axis=drop + tuple(self.space.d + i for i in drop))
+        return reduced.reshape(total_s, total_s)
+
+    def keep_in(self, mask: SubsetMask) -> TransitionMatrix:
+        """Keep-``mask``-in matrix ``P_S(x_S, y_S) = E_S(x_S, y_S) / pi_S(x_S)``:
+        the hidden coordinates averaged under pi.  The full mask gives P."""
+        if mask.size == self.space.d:
+            return self.P
+        e_s = self.project(mask)
+        return TransitionMatrix(self.space.subspace(mask), e_s / e_s.sum(axis=1)[:, None])
 
 
 def project_keep_in(P: TransitionMatrix, pi: Distribution, mask: SubsetMask) -> TransitionMatrix:
-    """Keep-``mask``-in transition matrix of P with respect to pi.
-
-    Averages the hidden coordinates under pi:
-    ``P_S(x_S, y_S) = sum_{x_-S, y_-S} pi(x) P(x, y) / pi_S(x_S)``.
-    """
-    pi.require_full_support()
-    if mask.size == P.space.d:
-        return P
-    e_s, pi_s = project_edge(P, pi, mask)
-    return TransitionMatrix(P.space.subspace(mask), e_s / pi_s[:, None])
+    """Keep-``mask``-in transition matrix of P with respect to pi (see
+    :meth:`EdgeMeasure.keep_in`)."""
+    return EdgeMeasure(P, pi).keep_in(mask)
 
 
 def project_leave_out(P: TransitionMatrix, pi: Distribution, mask: SubsetMask) -> TransitionMatrix:
@@ -471,12 +447,6 @@ def reorder_coordinates(P: TransitionMatrix, labels: Sequence[int]) -> Transitio
     new_dims = tuple(space.dims[i] for i in perm)
     n = space.total
     return TransitionMatrix(ProductStateSpace(new_dims), cube.reshape(n, n))
-
-
-def edge_measure(pi: Distribution, P: TransitionMatrix) -> EdgeMeasure:
-    if pi.space.dims != P.space.dims:
-        raise ValidationError("distribution and matrix live on different spaces")
-    return EdgeMeasure(P.space, pi.probs[:, None] * P.rows)
 
 
 def matrix_power(P: TransitionMatrix, n: int) -> TransitionMatrix:

@@ -32,13 +32,13 @@ from . import functionals, models, objectives, optimizers
 from .chain_core import (
     ConvergenceError,
     Distribution,
+    EdgeMeasure,
     GuardError,
     SubsetMask,
     TransitionMatrix,
     ValidationError,
     marginalize,
     matrix_power,
-    project_keep_in,
     reorder_coordinates,
     stationary_distribution,
     tensor,
@@ -51,7 +51,19 @@ EXIT_GUARD = 4
 
 DRIFT_TOL = 1e-9
 
-ALGORITHMS = ("greedy", "distorted", "gen-distorted", "local-search", "batch")
+# algorithm -> (the problem kind it searches, run(dec, m, epsilon, batch_spec))
+ALGORITHMS = {
+    "greedy": ("subset", lambda dec, m, epsilon, batch_spec: optimizers.greedy(
+        dec.f, dec.ground, m, dec.constraint)),
+    "distorted": ("subset", lambda dec, m, epsilon, batch_spec: optimizers.distorted_greedy(
+        dec, m)),
+    "gen-distorted": ("partition", lambda dec, m, epsilon, batch_spec: (
+        optimizers.generalized_distorted_greedy(dec, m))),
+    "local-search": ("subset", lambda dec, m, epsilon, batch_spec: optimizers.local_search(
+        dec.f, dec.ground, epsilon)),
+    "batch": ("subset", lambda dec, m, epsilon, batch_spec: optimizers.batch_greedy(
+        dec.f, dec.ground, m, _batch_plan(batch_spec, m))),
+}
 
 
 def _fmt(value: float) -> str:
@@ -105,6 +117,20 @@ def _batch_plan(spec: str, m: int) -> list[int]:
     if any(q <= 0 for q in sizes):
         raise click.UsageError(f"batch sizes {sizes} must be positive")
     return sizes
+
+
+def check_pairing(dec: objectives.ObjectiveDecomposition, algorithm: str) -> None:
+    """Refuse an algorithm that cannot search this catalog entry."""
+    kind = ALGORITHMS[algorithm][0]
+    if dec.kind != kind:
+        raise click.UsageError(
+            f"--algorithm {algorithm} applies to {kind} problems, not {dec.problem_id}")
+    if algorithm == "batch":
+        base = dec.f(dec.empty_solution())
+        if abs(base) > 1e-9:
+            raise click.UsageError(
+                f"--algorithm batch needs f(empty) = 0, but {dec.problem_id} has "
+                f"f(empty) = {base!r}")
 
 
 def _load_model(model, chain_file, d, temperature, field):
@@ -191,22 +217,14 @@ def run_selection(
     """Run one algorithm over a range of cardinalities against one catalog
     entry, re-evaluating every reported value through the direct functional
     definitions (never the optimizer's incremental bookkeeping)."""
+    if algorithm not in ALGORITHMS:
+        raise click.UsageError(f"unknown algorithm {algorithm!r}")
+    search = ALGORITHMS[algorithm][1]
     rows: list[SelectionRow] = []
     for m in ms:
         dec.validate_m(m)
         start = time.perf_counter()
-        if algorithm == "greedy":
-            result = optimizers.greedy(dec.f, dec.ground, m, dec.constraint)
-        elif algorithm == "distorted":
-            result = optimizers.distorted_greedy(dec, m)
-        elif algorithm == "gen-distorted":
-            result = optimizers.generalized_distorted_greedy(dec, m)
-        elif algorithm == "local-search":
-            result = optimizers.local_search(dec.f, dec.ground, epsilon)
-        elif algorithm == "batch":
-            result = optimizers.batch_greedy(dec.f, dec.ground, m, _batch_plan(batch_spec, m))
-        else:
-            raise click.UsageError(f"unknown algorithm {algorithm!r}")
+        result = search(dec, m, epsilon, batch_spec)
         if oracle:
             result = result.with_certificate(optimizers.certify(dec, m, result))
         elapsed = time.perf_counter() - start
@@ -307,13 +325,15 @@ def mcmc_study(
     else:
         P, pi = chain
     d = P.space.d
+    edge = EdgeMeasure(P, pi)
+    functionals.assert_stationary(P, pi)
     curves: dict[int, list[float]] = {}
     distances: dict[int, float] = {}
     for i in range(d):
         keep = SubsetMask.of(d, (i,)).complement()
-        P_minus = project_keep_in(P, pi, keep)
+        P_minus = edge.keep_in(keep)
         pi_minus = marginalize(pi, keep)
-        distances[i] = functionals.distance_to_stationarity(P, pi, keep)
+        distances[i] = functionals.kl_to_stationary(edge, keep)
         tvs = []
         rows = P_minus.rows
         power = np.eye(rows.shape[0])
@@ -324,8 +344,8 @@ def mcmc_study(
 
     i_star = min(range(d), key=lambda i: (distances[i], i)) if split is None else split
     keep = SubsetMask.of(d, (i_star,)).complement()
-    P_minus = project_keep_in(P, pi, keep)
-    P_single = project_keep_in(P, pi, SubsetMask.of(d, (i_star,)))
+    P_minus = edge.keep_in(keep)
+    P_single = edge.keep_in(SubsetMask.of(d, (i_star,)))
     tv_original = worst_case_tv(P, pi, n_max)
     powered = tensor([matrix_power(P_minus, n_max), matrix_power(P_single, n_max)])
     aligned = reorder_coordinates(powered, keep.indices() + (i_star,))
@@ -373,7 +393,8 @@ def main() -> None:
 @click.option("--d", type=int, default=10, show_default=True)
 @click.option("--T", "temperature", type=float, default=10.0, show_default=True)
 @click.option("--h", "field", type=float, default=1.0, show_default=True)
-@click.option("--algorithm", type=click.Choice(ALGORITHMS), default="greedy", show_default=True)
+@click.option("--algorithm", type=click.Choice(tuple(ALGORITHMS)), default="greedy",
+              show_default=True)
 @click.option("--m", type=int, default=1, show_default=True)
 @click.option("--m-max", type=int, default=None, help="Sweep m..m-max inclusive.")
 @click.option("--V", "ceiling_spec", default=None,
@@ -428,11 +449,7 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
         click.echo(f"model error: {err}", err=True)
         sys.exit(EXIT_MODEL)
 
-    if algorithm == "distorted" and dec.kind != "subset":
-        raise click.UsageError("--algorithm distorted applies to subset problems")
-    if algorithm == "gen-distorted" and dec.kind != "partition":
-        raise click.UsageError("--algorithm gen-distorted applies to partition problems")
-
+    check_pairing(dec, algorithm)
     ms = list(range(m, (m_max if m_max is not None else m) + 1))
     if not ms:
         raise click.UsageError(f"empty m range {m}..{m_max}")
@@ -479,6 +496,10 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
 @click.option("--svg", type=click.Path(), default=None, help="Optional SVG chart path.")
 def cmd_mcmc(d, temperature, field, n_max, split, samples, seed, out, json_out, svg) -> None:
     """Leave-one-out mixing study and factorized-sampler comparison."""
+    if split is not None and not 1 <= split <= d:
+        raise click.UsageError(f"--split {split} must lie in 1..{d}")
+    if n_max < 0:
+        raise click.UsageError(f"--n-max must be >= 0, got {n_max}")
     try:
         params = models.CurieWeissParams(d=d, T=temperature, h=field)
         study = mcmc_study(params, n_max=n_max,

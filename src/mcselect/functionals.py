@@ -5,29 +5,31 @@ Everything is in nats.  The conventions 0 ln 0 = 0 and 0 ln(0/a) = 0 are
 realised by skipping terms whose probability weight falls below 1e-300,
 which is numerically equivalent and avoids log underflow.
 
-The distance functionals here evaluate their defining KL divergences
-directly (building the reference tensor-product kernels explicitly); the
-entropy identities they satisfy for stationary chains are exercised by the
-test suite, and the fast entropy-based evaluation paths live with the
-objective constructions.
+Every rate here is a sum over the support of the weighted kernel,
+mu(x) M(x, y) > 1e-300, taken in row-major order.  The distance
+functionals evaluate their defining KL divergences directly on that
+support: the reference kernel (a product of keep-in blocks, or the
+rank-one stationary kernel) is read entry by entry and never built as a
+dense tensor product.  The entropy identities they satisfy for
+stationary chains are exercised by the test suite, and the fast
+entropy-based evaluation paths live with the objective constructions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .chain_core import (
     Distribution,
+    EdgeMeasure,
     SubsetMask,
     TransitionMatrix,
     ValidationError,
     marginalize,
-    project_keep_in,
-    reorder_coordinates,
-    tensor,
 )
 
 TERM_FLOOR = 1e-300
@@ -72,14 +74,34 @@ def assert_stationary(
         )
 
 
+def _support(mu: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries (x, y) with mu(x) M(x, y) > TERM_FLOOR, in row-major
+    order, with M(x, y) and the weight mu(x) M(x, y) at each."""
+    x, y = np.nonzero(M)
+    m = M[x, y]
+    w = mu[x] * m
+    keep = w > TERM_FLOOR
+    return x[keep], y[keep], m[keep], w[keep]
+
+
+def _kl(mu: np.ndarray, M: np.ndarray, reference: Callable) -> KLResult:
+    """sum over the support of mu(x) M(x, y) ln(M(x, y) / L(x, y)), where
+    ``reference(x, y)`` gives L at the support entries."""
+    x, y, m, w = _support(mu, M)
+    L = reference(x, y)
+    bad = np.flatnonzero(L <= TERM_FLOOR)
+    if bad.size:
+        return KLResult(math.inf, (int(x[bad[0]]), int(y[bad[0]])))
+    return KLResult(float((w * (np.log(m) - np.log(L))).sum()))
+
+
 def entropy_rate(
     P: TransitionMatrix, pi: Distribution, stationarity_tol: float = STATIONARITY_TOL
 ) -> float:
     """Entropy rate -sum_x sum_y pi(x) P(x,y) ln P(x,y) of a stationary chain."""
     assert_stationary(P, pi, stationarity_tol)
-    weights = pi.probs[:, None] * P.rows
-    mask = weights > TERM_FLOOR
-    return float(-(weights[mask] * np.log(P.rows[mask])).sum())
+    _, _, p, w = _support(pi.probs, P.rows)
+    return float(-(w * np.log(p)).sum())
 
 
 def kl_rate(M: TransitionMatrix, L: TransitionMatrix, pi: Distribution) -> KLResult:
@@ -90,22 +112,66 @@ def kl_rate(M: TransitionMatrix, L: TransitionMatrix, pi: Distribution) -> KLRes
     """
     if M.space.dims != L.space.dims or M.space.dims != pi.space.dims:
         raise ValidationError("M, L, pi must live on the same space")
-    weights = pi.probs[:, None] * M.rows
-    support = weights > TERM_FLOOR
-    bad = support & (L.rows <= TERM_FLOOR)
-    if np.any(bad):
-        x, y = (int(v) for v in np.argwhere(bad)[0])
-        return KLResult(math.inf, (x, y))
-    m = M.rows[support]
-    value = float((weights[support] * (np.log(m) - np.log(L.rows[support]))).sum())
-    return KLResult(value)
+    return _kl(pi.probs, M.rows, lambda x, y: L.rows[x, y])
 
 
-def _single_coordinate_factors(
-    P: TransitionMatrix, pi: Distribution, coords: tuple[int, ...]
-) -> list[TransitionMatrix]:
-    d = P.space.d
-    return [project_keep_in(P, pi, SubsetMask.of(d, (i,))) for i in coords]
+def _block_codes(dims: Sequence[int], groups: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """For every state of the space with digit radix ``dims``, the index of
+    its digits at each group of digit positions, read in the group's radix."""
+    states = np.arange(math.prod(dims))
+    codes = []
+    for group in groups:
+        code = np.zeros_like(states)
+        for p in group:
+            code = code * dims[p] + states // math.prod(dims[p + 1:]) % dims[p]
+        codes.append(code)
+    return codes
+
+
+def kl_to_blocks(
+    edge: EdgeMeasure, blocks: Sequence[SubsetMask], block_order: bool = False
+) -> float:
+    """D(P_U || tensor_b P_b) weighted by pi_U, for disjoint blocks with
+    union U: the information lost by running the blocks as independent
+    keep-in chains.  It is +inf when absolute continuity fails.
+
+    The reference kernel is L(x, y) = prod_b P_b(x_b, y_b), multiplied left
+    to right as ``np.kron`` does.  By default x_b is read from the digits
+    of x at b's coordinates in ascending coordinate order, so L is the
+    tensor product realigned to U's indexing.  With ``block_order`` the
+    digits of x are read in the radix of the blocks laid end to end: the
+    tensor product is compared entrywise with P_U, without realignment.
+    """
+    bits = 0
+    for block in blocks:
+        if bits & block.bits:
+            raise ValidationError("blocks overlap")
+        bits |= block.bits
+    union = SubsetMask(bits, edge.space.d)
+    P_U = edge.keep_in(union)
+    factors = [edge.keep_in(block) for block in blocks]
+    if block_order:
+        codes = _block_codes([F.space.total for F in factors], [(b,) for b in range(len(blocks))])
+    else:
+        position = {coord: p for p, coord in enumerate(union)}
+        codes = _block_codes(P_U.space.dims, [[position[c] for c in block] for block in blocks])
+
+    def reference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        L = np.ones(x.shape)
+        for F, code in zip(factors, codes):
+            L = L * F.rows[code[x], code[y]]
+        return L
+
+    return _kl(marginalize(edge.pi, union).probs, P_U.rows, reference).value
+
+
+def kl_to_stationary(edge: EdgeMeasure, S: SubsetMask) -> float:
+    """D(P_S || Pi_S) weighted by pi_S, where every row of Pi_S is pi_S;
+    zero for the empty S."""
+    if S.size == 0:
+        return 0.0
+    pi_S = marginalize(edge.pi, S).probs
+    return _kl(pi_S, edge.keep_in(S).rows, lambda x, y: pi_S[y]).value
 
 
 def distance_to_independence(P: TransitionMatrix, pi: Distribution, S: SubsetMask) -> float:
@@ -114,15 +180,7 @@ def distance_to_independence(P: TransitionMatrix, pi: Distribution, S: SubsetMas
 
     Zero whenever |S| <= 1.
     """
-    if S.size <= 1:
-        return 0.0
-    coords = S.indices()
-    P_S = project_keep_in(P, pi, S)
-    pi_S = marginalize(pi, S)
-    # Ascending coordinate order means the tensor of the singleton factors
-    # already matches the compact indexing of the projected space.
-    L = tensor(_single_coordinate_factors(P, pi, coords))
-    return kl_rate(P_S, L, pi_S).value
+    return kl_to_blocks(EdgeMeasure(P, pi), [SubsetMask.of(S.d, (i,)) for i in S])
 
 
 def distance_to_factorizability(
@@ -134,12 +192,7 @@ def distance_to_factorizability(
     """D(P || P_S tensor P_-S): the information lost by splitting the
     coordinates into the two independent blocks S and its complement."""
     assert_stationary(P, pi, stationarity_tol)
-    if S.size == 0 or S.size == S.d:
-        return 0.0
-    comp = S.complement()
-    blocks = tensor([project_keep_in(P, pi, S), project_keep_in(P, pi, comp)])
-    L = reorder_coordinates(blocks, S.indices() + comp.indices())
-    return kl_rate(P, L, pi).value
+    return kl_to_blocks(EdgeMeasure(P, pi), (S, S.complement()))
 
 
 def stationary_kernel(pi: Distribution) -> TransitionMatrix:
@@ -156,11 +209,7 @@ def distance_to_stationarity(
 ) -> float:
     """D(P_S || Pi_S) where Pi_S has every row equal to pi_S."""
     assert_stationary(P, pi, stationarity_tol)
-    if S.size == 0:
-        return 0.0
-    P_S = project_keep_in(P, pi, S)
-    pi_S = marginalize(pi, S)
-    return kl_rate(P_S, stationary_kernel(pi_S), pi_S).value
+    return kl_to_stationary(EdgeMeasure(P, pi), S)
 
 
 def distance_to_factorizability_fixed(
@@ -174,11 +223,4 @@ def distance_to_factorizability_fixed(
     if not W.isdisjoint(S):
         raise ValidationError("W and S must be disjoint")
     assert_stationary(P, pi, stationarity_tol)
-    if S.size == 0 or W.size == 0:
-        return 0.0
-    union = W | S
-    P_U = project_keep_in(P, pi, union)
-    pi_U = marginalize(pi, union)
-    blocks = tensor([project_keep_in(P, pi, W), project_keep_in(P, pi, S)])
-    L = reorder_coordinates(blocks, W.indices() + S.indices())
-    return kl_rate(P_U, L, pi_U).value
+    return kl_to_blocks(EdgeMeasure(P, pi), (W, S))

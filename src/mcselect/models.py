@@ -93,6 +93,13 @@ def curie_weiss_chain(params: CurieWeissParams) -> tuple[TransitionMatrix, Distr
 
     shifted = -(energies - energies.min()) / T
     weights = np.exp(shifted)
+    if weights.min() == 0.0:
+        state = int(np.argmin(weights))
+        spins = "".join("+" if state >> (d - 1 - i) & 1 else "-" for i in range(d))
+        raise ValidationError(
+            f"Gibbs weight of state {state} (spins {spins}) underflows to 0 at T={T}; "
+            "the stationary distribution would lose full support"
+        )
     z = math.fsum(weights.tolist())
     pi = Distribution(ProductStateSpace((2,) * d), weights / z)
 

@@ -35,16 +35,14 @@ import numpy as np
 from . import functionals
 from .chain_core import (
     Distribution,
+    EdgeMeasure,
     SubsetMask,
     TransitionMatrix,
     ValidationError,
     marginalize,
-    project_keep_in,
-    reorder_coordinates,
-    tensor,
     tensor_dist,
 )
-from .functionals import TERM_FLOOR, assert_stationary, kl_rate
+from .functionals import assert_stationary
 
 PRODUCT_FORM_TOL = 1e-10
 
@@ -108,19 +106,16 @@ class Workspace:
 
     All catalog functions reduce to entropies of projected edge measures
     H(pi_S x P_S) and of marginals H(pi_S); both are cached per coordinate
-    mask, which makes repeated marginal-gain queries cheap.
+    mask, which makes repeated marginal-gain queries cheap.  ``edge`` is the
+    chain's one :class:`EdgeMeasure`, which the direct evaluations share.
     """
 
     def __init__(self, P: TransitionMatrix, pi: Distribution, stationarity_tol: float = 1e-8):
-        pi.require_full_support()
+        self.edge = EdgeMeasure(P, pi)
         assert_stationary(P, pi, stationarity_tol)
-        self.P = P
         self.pi = pi
         self.space = P.space
         self.d = P.space.d
-        dims = P.space.dims
-        self._edge_cube = (pi.probs[:, None] * P.rows).reshape(dims + dims)
-        self._pi_cube = pi.probs.reshape(dims)
         self._H_edge: dict[int, float] = {0: 0.0}
         self._H_pi: dict[int, float] = {0: 0.0}
 
@@ -134,11 +129,7 @@ class Workspace:
         cached = self._H_edge.get(mask.bits)
         if cached is not None:
             return cached
-        keep = set(mask.indices())
-        drop = tuple(i for i in range(self.d) if i not in keep)
-        axes = drop + tuple(self.d + i for i in drop)
-        value = functionals.shannon_entropy(
-            self._edge_cube.sum(axis=axes) if axes else self._edge_cube)
+        value = functionals.shannon_entropy(self.edge.project(mask))
         self._H_edge[mask.bits] = value
         return value
 
@@ -147,9 +138,7 @@ class Workspace:
         cached = self._H_pi.get(mask.bits)
         if cached is not None:
             return cached
-        keep = set(mask.indices())
-        drop = tuple(i for i in range(self.d) if i not in keep)
-        value = functionals.shannon_entropy(self._pi_cube.sum(axis=drop) if drop else self._pi_cube)
+        value = functionals.shannon_entropy(marginalize(self.pi, mask))
         self._H_pi[mask.bits] = value
         return value
 
@@ -157,32 +146,26 @@ class Workspace:
         """H(P_S) = H(pi_S x P_S) - H(pi_S)."""
         return self._edge_entropy(mask) - self.entropy_pi(mask)
 
+    def kl_to_blocks(self, blocks: Sequence[SubsetMask]) -> float:
+        """sum_b H(P_b) - H(P_U) for disjoint blocks with union U: the cached
+        twin of :func:`functionals.kl_to_blocks` on a stationary chain."""
+        return sum(self.entropy_rate(b) for b in blocks) - self.entropy_rate(union_of(blocks))
+
     def dist_to_independence(self, mask: SubsetMask) -> float:
-        if mask.size <= 1:
-            return 0.0
-        singles = sum(self.entropy_rate(self.single(i)) for i in mask)
-        return singles - self.entropy_rate(mask)
+        return 0.0 if mask.size <= 1 else self.kl_to_blocks([self.single(i) for i in mask])
 
     def dist_to_stationarity(self, mask: SubsetMask) -> float:
         return self.entropy_pi(mask) - self.entropy_rate(mask)
 
     def dist_to_factorizability(self, mask: SubsetMask) -> float:
-        return (
-            self.entropy_rate(mask)
-            + self.entropy_rate(mask.complement())
-            - self.entropy_rate(self.full())
-        )
+        return self.kl_to_blocks((mask, mask.complement()))
 
     def dist_to_factorizability_fixed(self, W: SubsetMask, S: SubsetMask) -> float:
-        return self.entropy_rate(W) + self.entropy_rate(S) - self.entropy_rate(W | S)
+        return self.kl_to_blocks((W, S))
 
     def split_divergence(self, block: SubsetMask, e: int) -> float:
         """D(P_A || P_{A - e} x P_e) for e in the block A."""
-        return (
-            self.entropy_rate(block.remove(e))
-            + self.entropy_rate(self.single(e))
-            - self.entropy_rate(block)
-        )
+        return self.kl_to_blocks((block.remove(e), self.single(e)))
 
 
 @dataclass(frozen=True)
@@ -265,60 +248,23 @@ def _require_product_form(pi: Distribution, problem_id: str, heuristic: bool) ->
     return ("pi is not of product form; run is heuristic, no bound applies",)
 
 
-def _weighted_kl(M_rows: np.ndarray, L_rows: np.ndarray, weights: np.ndarray) -> float:
-    joint = weights[:, None] * M_rows
-    support = joint > TERM_FLOOR
-    return float(
-        (joint[support] * (np.log(M_rows[support]) - np.log(L_rows[support]))).sum()
-    )
-
-
-def _block_order_kl(
-    P: TransitionMatrix, pi: Distribution, blocks: Sequence[SubsetMask]
-) -> float:
-    """KL rate from the tensor of keep-in blocks to P, with the reference
-    kernel indexed in block order rather than realigned to P's coordinate
-    order.
-
-    Here the selected block(s) come first and the remainder last, and the
-    tensor is compared entrywise against P without the coordinate
-    permutation.  It differs from
-    :func:`functionals.distance_to_factorizability` (the permutation-aligned
-    quantity) whenever the concatenated block order is not the ascending
-    coordinate order; the block-order variant is what the reference
-    experiment values for the factorizability problems were computed with.
-    """
-    rows = np.ones((1, 1))
-    for block in blocks:
-        rows = np.kron(rows, project_keep_in(P, pi, block).rows)
-    return _weighted_kl(P.rows, rows, pi.probs)
-
-
-def _direct_entropy_rate(P: TransitionMatrix, pi: Distribution, mask: SubsetMask) -> float:
+def _direct_entropy_rate(edge: EdgeMeasure, mask: SubsetMask) -> float:
     if mask.size == 0:
         return 0.0
-    return functionals.entropy_rate(project_keep_in(P, pi, mask), marginalize(pi, mask))
+    return functionals.entropy_rate(edge.keep_in(mask), marginalize(edge.pi, mask))
 
 
-def _direct_k_dist2fact(P: TransitionMatrix, pi: Distribution, parts: Parts) -> float:
-    d = P.space.d
-    remainder = union_of(parts).complement()
-    if remainder.size == d:
-        return 0.0
-    blocks = [project_keep_in(P, pi, part) for part in parts]
-    blocks.append(project_keep_in(P, pi, remainder))
-    labels: tuple[int, ...] = ()
-    for part in parts:
-        labels += part.indices()
-    labels += remainder.indices()
-    L = reorder_coordinates(tensor(blocks), labels)
-    return kl_rate(P, L, pi).value
+def _direct_indp(ws: Workspace, parts: Parts) -> float:
+    return sum(functionals.kl_to_blocks(ws.edge, [ws.single(i) for i in part]) for part in parts)
+
+
+def _factor_blocks(parts: Parts) -> Parts:
+    """The groups, then the remainder: the blocks of dist2fact's product."""
+    return tuple(parts) + (union_of(parts).complement(),)
 
 
 def _dist2fact(ws: Workspace, caps: Parts, parts: Parts) -> float:
-    total = sum(ws.entropy_rate(part) for part in parts)
-    remainder = union_of(parts).complement()
-    return total + ws.entropy_rate(remainder) - ws.entropy_rate(ws.full())
+    return ws.kl_to_blocks(_factor_blocks(parts))
 
 
 def _dist2fact_fixed(ws: Workspace, caps: Parts, parts: Parts) -> float:
@@ -328,12 +274,16 @@ def _dist2fact_fixed(ws: Workspace, caps: Parts, parts: Parts) -> float:
     return ws.dist_to_factorizability_fixed(ground.complement(), S)
 
 
-def _block_order_dist2fact(P: TransitionMatrix, pi: Distribution) -> tuple[Callable, Callable]:
+def _block_order_dist2fact(ws: Workspace) -> tuple[Callable, Callable]:
     """Cached and direct dist2fact with the factorized reference kernel
-    indexed in block order: the groups first, the remainder last."""
+    indexed in block order: the groups first, the remainder last.  It
+    differs from the realigned kernel whenever the concatenated block order
+    is not the ascending coordinate order; the block-order variant is what
+    the reference experiment values for the factorizability problems were
+    computed with."""
 
     def direct(parts: Parts) -> float:
-        return _block_order_kl(P, pi, tuple(parts) + (union_of(parts).complement(),))
+        return functionals.kl_to_blocks(ws.edge, _factor_blocks(parts), block_order=True)
 
     cache: dict[tuple[int, ...], float] = {}
 
@@ -357,7 +307,7 @@ class Criterion:
     * "g": value is g itself;
     * "shift": g = shift - value, with shift the value at the empty parts.
 
-    ``direct(P, pi, caps, parts)`` evaluates f from the defining divergences,
+    ``direct(ws, caps, parts)`` evaluates f from the defining divergences,
     and ``weight(ws, caps, j, e, value)`` is the modular weight of element e
     in slot j.  ``beta`` is "zero" (fixed at 0), "nonpositive" (default 0)
     or a function (ws, caps) -> admissibility bound, which is then also the
@@ -383,7 +333,7 @@ class Criterion:
 CRITERIA: dict[str, Criterion] = {
     "k-entropy": Criterion(
         value=lambda ws, caps, parts: sum(ws.entropy_rate(part) for part in parts),
-        direct=lambda P, pi, caps, parts: sum(_direct_entropy_rate(P, pi, part) for part in parts),
+        direct=lambda ws, caps, parts: sum(_direct_entropy_rate(ws.edge, part) for part in parts),
         weight=lambda ws, caps, j, e, value: (
             ws.entropy_rate(caps[j].remove(e)) - ws.entropy_rate(caps[j])),
         beta=lambda ws, caps: -sum(math.log(ws.space.dims[e]) for cap in caps for e in cap),
@@ -392,7 +342,7 @@ CRITERIA: dict[str, Criterion] = {
         # H(pi_S x P_S), the edge-measure entropy of the projected chain
         value=lambda ws, caps, parts: sum(
             ws.entropy_rate(part) + ws.entropy_pi(part) for part in parts),
-        direct=lambda P, pi, caps, parts: sum(_direct_entropy_rate(P, pi, part) for part in parts),
+        direct=lambda ws, caps, parts: sum(_direct_entropy_rate(ws.edge, part) for part in parts),
         weight=lambda ws, caps, j, e, value: functionals.shannon_entropy(
             marginalize(ws.pi, ws.single(e))),
         form="g",
@@ -400,7 +350,7 @@ CRITERIA: dict[str, Criterion] = {
     ),
     "k-dist2fact": Criterion(
         value=_dist2fact,
-        direct=lambda P, pi, caps, parts: _direct_k_dist2fact(P, pi, parts),
+        direct=lambda ws, caps, parts: functionals.kl_to_blocks(ws.edge, _factor_blocks(parts)),
         weight=lambda ws, caps, j, e, value: (
             value(caps[:j] + (caps[j].remove(e),) + caps[j + 1:]) - value(caps)),
         beta=lambda ws, caps: -sum(
@@ -411,8 +361,7 @@ CRITERIA: dict[str, Criterion] = {
     ),
     "k-dist2indp": Criterion(
         value=lambda ws, caps, parts: -sum(ws.dist_to_independence(part) for part in parts),
-        direct=lambda P, pi, caps, parts: -sum(
-            functionals.distance_to_independence(P, pi, part) for part in parts),
+        direct=lambda ws, caps, parts: -_direct_indp(ws, parts),
         weight=lambda ws, caps, j, e, value: ws.split_divergence(caps[j], e),
         beta="nonpositive",
         constraint="eq",
@@ -422,17 +371,16 @@ CRITERIA: dict[str, Criterion] = {
     "k-dist2indp-complement": Criterion(
         value=lambda ws, caps, parts: sum(
             ws.dist_to_independence(cap - part) for cap, part in zip(caps, parts)),
-        direct=lambda P, pi, caps, parts: -sum(
-            functionals.distance_to_independence(P, pi, cap - part)
-            for cap, part in zip(caps, parts)),
+        direct=lambda ws, caps, parts: -_direct_indp(
+            ws, [cap - part for cap, part in zip(caps, parts)]),
         form="shift",
         report_sign=-1.0,
         max_support=lambda d, k: d - k - 1,
     ),
     "k-dist2stat": Criterion(
         value=lambda ws, caps, parts: -sum(ws.dist_to_stationarity(part) for part in parts),
-        direct=lambda P, pi, caps, parts: -sum(
-            functionals.distance_to_stationarity(P, pi, part) for part in parts),
+        direct=lambda ws, caps, parts: -sum(
+            functionals.kl_to_stationary(ws.edge, part) for part in parts),
         weight=lambda ws, caps, j, e, value: (
             ws.split_divergence(caps[j], e) + ws.dist_to_stationarity(ws.single(e))),
         beta="nonpositive",
@@ -443,9 +391,8 @@ CRITERIA: dict[str, Criterion] = {
     "k-dist2stat-complement": Criterion(
         value=lambda ws, caps, parts: sum(
             ws.dist_to_stationarity(cap - part) for cap, part in zip(caps, parts)),
-        direct=lambda P, pi, caps, parts: -sum(
-            functionals.distance_to_stationarity(P, pi, cap - part)
-            for cap, part in zip(caps, parts)),
+        direct=lambda ws, caps, parts: -sum(
+            functionals.kl_to_stationary(ws.edge, cap - part) for cap, part in zip(caps, parts)),
         form="shift",
         report_sign=-1.0,
         product_form="heuristic",
@@ -454,14 +401,14 @@ CRITERIA: dict[str, Criterion] = {
     "dist2stat": Criterion(
         # raw monotone target for the batch greedy algorithm; no decomposition
         value=lambda ws, caps, parts: ws.dist_to_stationarity(parts[0]),
-        direct=lambda P, pi, caps, parts: functionals.distance_to_stationarity(P, pi, parts[0]),
+        direct=lambda ws, caps, parts: functionals.kl_to_stationary(ws.edge, parts[0]),
         form="g",
         constraint="eq",
     ),
     "dist2fact-fixed": Criterion(
         value=_dist2fact_fixed,
-        direct=lambda P, pi, caps, parts: functionals.distance_to_factorizability_fixed(
-            P, pi, caps[0].complement(), parts[0]),
+        direct=lambda ws, caps, parts: functionals.kl_to_blocks(
+            ws.edge, (caps[0].complement(), parts[0])),
         form="g",
         constraint="eq",
     ),
@@ -487,8 +434,6 @@ PARTITION_PROBLEMS = tuple(pid for pid in CRITERIA if pid.startswith("k-"))
 def _build(
     problem_id: str,
     kind: str,
-    P: TransitionMatrix,
-    pi: Distribution,
     ws: Workspace,
     caps: Parts,
     *,
@@ -501,18 +446,18 @@ def _build(
     itself, or for a subset problem its one-part view keyed by element."""
     row = CRITERIA[SUBSET_ROWS[problem_id] if kind == "subset" else problem_id]
     notes: tuple[str, ...] = ()
-    if row.product_form == "required" and not is_product_form(pi):
+    if row.product_form == "required" and not is_product_form(ws.pi):
         raise ValidationError(f"{problem_id} requires a product-form stationary distribution")
     if row.product_form == "heuristic":
-        notes = _require_product_form(pi, problem_id, heuristic)
+        notes = _require_product_form(ws.pi, problem_id, heuristic)
 
     if block_order:
         notes = ("block-order indexing of the factorized reference kernel "
                  "(selected blocks first, not realigned)",)
-        value, direct = _block_order_dist2fact(P, pi)
+        value, direct = _block_order_dist2fact(ws)
     else:
         value = functools.partial(row.value, ws, caps)
-        direct = functools.partial(row.direct, P, pi, caps)
+        direct = functools.partial(row.direct, ws, caps)
 
     rule = row.subset_beta if kind == "subset" and row.subset_beta else row.beta
     if rule == "zero":
@@ -590,7 +535,7 @@ def build_subset_objective(
         if W.d != ws.d:
             raise ValidationError("W lives in the wrong universe")
         ground = W.complement()
-    return _build(problem_id, "subset", P, pi, ws, (ground,), beta=beta, heuristic=heuristic,
+    return _build(problem_id, "subset", ws, (ground,), beta=beta, heuristic=heuristic,
                   block_order=block_order, m=m)
 
 
@@ -616,5 +561,5 @@ def build_partition_objective(
     ws = workspace if workspace is not None else Workspace(P, pi, stationarity_tol)
     if caps[0].d != ws.d:
         raise ValidationError("ceiling lives in the wrong universe")
-    return _build(problem_id, "partition", P, pi, ws, caps, beta=beta, heuristic=heuristic,
+    return _build(problem_id, "partition", ws, caps, beta=beta, heuristic=heuristic,
                   block_order=block_order, m=m)

@@ -15,8 +15,8 @@ from mcselect.chain_core import (
     ProductStateSpace,
     SubsetMask,
     TransitionMatrix,
+    EdgeMeasure,
     ValidationError,
-    edge_measure,
     marginalize,
     matrix_power,
     project_keep_in,
@@ -301,26 +301,60 @@ class TestEdgeMeasure:
     def test_identity_diagonal(self):
         mu = dist((2,), [0.5, 0.5])
         P = tm((2,), np.eye(2))
-        em = edge_measure(mu, P)
-        assert np.allclose(em.matrix, [[0.5, 0.0], [0.0, 0.5]])
+        em = EdgeMeasure(P, mu)
+        assert np.allclose(em.project(SubsetMask.full(1)), [[0.5, 0.0], [0.0, 0.5]])
 
     def test_values(self):
         mu = dist((2,), [0.25, 0.75])
         P = tm((2,), [[0.5, 0.5], [0.5, 0.5]])
-        em = edge_measure(mu, P)
-        assert np.allclose(em.matrix.reshape(-1), [0.125, 0.125, 0.375, 0.375])
+        em = EdgeMeasure(P, mu)
+        assert np.allclose(em.project(SubsetMask.full(1)).reshape(-1),
+                           [0.125, 0.125, 0.375, 0.375])
+        assert np.allclose(em.project(SubsetMask.empty(1)), [[1.0]])
 
     def test_marginals(self, rng):
-        P, pi = random_chain(rng, (2, 2))
-        em = edge_measure(pi, P)
-        assert np.allclose(em.source_marginal().probs, pi.probs, atol=1e-14)
-        assert np.allclose(em.target_marginal().probs, pi.probs @ P.rows, atol=1e-14)
+        """The row sums of every projection are the marginal of pi, and for
+        a stationary pi so are the column sums."""
+        P, pi = random_chain(rng, (3, 2, 2))
+        em = EdgeMeasure(P, pi)
+        for S in SubsetMask.full(3).subsets():
+            E_S = em.project(S)
+            assert np.allclose(E_S.sum(axis=1), marginalize(pi, S).probs, atol=1e-14)
+            assert np.allclose(E_S.sum(axis=0), marginalize(pi, S).probs, atol=1e-12)
+
+    def test_keep_in_full_is_P(self, rng):
+        P, pi = random_chain(rng, (2, 3))
+        em = EdgeMeasure(P, pi)
+        assert em.keep_in(SubsetMask.full(2)) is P
+        assert project_keep_in(P, pi, SubsetMask.full(2)) is P
+
+    def test_keep_in_against_naive(self, rng):
+        dims = (2, 3, 2)
+        P, pi = random_chain(rng, dims)
+        em = EdgeMeasure(P, pi)
+        for keep in ((0,), (1, 2), (0, 2)):
+            got = em.keep_in(SubsetMask.of(3, keep)).rows
+            want = naive_keep_in(P.rows.tolist(), pi.probs.tolist(), dims, keep)
+            assert np.allclose(got, want, atol=1e-14)
 
     def test_entropy_rate_identity_curie_weiss(self, cw4):
         P, pi = cw4
-        em = edge_measure(pi, P)
-        lhs = shannon_entropy(em.as_distribution()) - shannon_entropy(pi)
-        assert abs(lhs - entropy_rate(P, pi)) <= 1e-10
+        em = EdgeMeasure(P, pi)
+        for S in SubsetMask.full(4).subsets():
+            if S.size == 0:
+                continue
+            lhs = shannon_entropy(em.project(S)) - shannon_entropy(marginalize(pi, S))
+            assert abs(lhs - entropy_rate(em.keep_in(S), marginalize(pi, S))) <= 1e-10
+
+    def test_cube_is_read_only(self, cw4):
+        em = EdgeMeasure(*cw4)
+        with pytest.raises(ValueError):
+            em.cube[(0,) * 8] = 1.0
+
+    def test_requires_full_support(self):
+        P = tm((2,), [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError):
+            EdgeMeasure(P, dist((2,), [1.0, 0.0]))
 
 
 class TestMatrixPower:

@@ -16,6 +16,17 @@ ENTROPY_GREEDY_REFERENCE = {
 }
 
 
+# algorithm/problem pairings that no search can run: refused before the run
+PAIRING_ERRORS = [
+    ["--problem", "k-entropy", "--V", "1,2|3,4", "--m", "1"],  # greedy is subset-only
+    ["--problem", "k-entropy", "--V", "1,2|3,4", "--algorithm", "batch", "--m", "1"],
+    ["--problem", "k-entropy", "--V", "1,2|3,4", "--algorithm", "local-search"],
+    ["--problem", "entropy", "--algorithm", "gen-distorted", "--m", "1"],
+    ["--problem", "dist2indp-complement", "--algorithm", "batch", "--m", "1"],  # f(empty) != 0
+    ["--problem", "dist2stat-complement", "--algorithm", "batch", "--heuristic", "--m", "1"],
+]
+
+
 def run_cli(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
 
@@ -127,21 +138,57 @@ class TestSelect:
         ["--problem", "dist2indp-complement", "--m", "1", "--m-max", "3"],  # beyond d - 2
         ["--problem", "dist2stat", "--algorithm", "batch", "--batch-sizes", "2,0", "--m", "2"],
         ["--problem", "entropy", "--algorithm", "local-search", "--epsilon", "0"],
+        *PAIRING_ERRORS,
     ])
     def test_flag_errors_are_usage_errors(self, args):
         result = CliRunner().invoke(main, ["select", "--d", "4", *args])
         assert result.exit_code == 2
+        if args in PAIRING_ERRORS:
+            assert "--algorithm" in result.output
 
     def test_drift_is_model_error(self, monkeypatch):
         from mcselect import objectives
 
         exact = objectives._direct_entropy_rate
         monkeypatch.setattr(objectives, "_direct_entropy_rate",
-                            lambda P, pi, mask: exact(P, pi, mask) + 1e-6)
+                            lambda edge, mask: exact(edge, mask) + 1e-6)
         result = CliRunner().invoke(main, ["select", "--problem", "entropy", "--d", "4",
                                            "--m", "1"])
         assert result.exit_code == 3
         assert "model error: objective drift" in result.output
+
+    def test_one_edge_measure_per_objective_and_sweep(self, monkeypatch, cw4):
+        """The build, the search, the certificates and the drift check all
+        read the one edge measure the objective's Workspace holds."""
+        from mcselect import chain_core, cli, objectives
+
+        built = []
+        init = chain_core.EdgeMeasure.__init__
+
+        def counting_init(edge, *args):
+            built.append(edge)
+            init(edge, *args)
+
+        monkeypatch.setattr(chain_core.EdgeMeasure, "__init__", counting_init)
+        P, pi = cw4
+        caps = parse_ceiling("1,2|3,4", 4)
+        for problem in objectives.SUBSET_PROBLEMS + objectives.PARTITION_PROBLEMS:
+            if problem.endswith("entropy-product"):
+                continue  # needs a product-form chain
+            built.clear()
+            if problem in objectives.PARTITION_PROBLEMS:
+                dec = objectives.build_partition_objective(
+                    problem, P, pi, caps, heuristic=True, block_order=problem == "k-dist2fact")
+                algorithm = "gen-distorted"
+            else:
+                dec = objectives.build_subset_objective(
+                    problem, P, pi, heuristic=True, block_order=problem == "dist2fact",
+                    W=parse_coords("1", 4) if problem == "dist2fact-fixed" else None)
+                algorithm = "distorted"
+            low = dec.min_support or 1
+            high = min(dec.max_support or dec.ground.size, dec.ground.size)
+            cli.run_selection(dec, algorithm, list(range(low, high + 1)), oracle=True)
+            assert len(built) == 1, problem
 
     def test_missing_chain_file_is_model_error(self, tmp_path):
         result = CliRunner().invoke(main, [
@@ -235,6 +282,21 @@ class TestMcmc:
         assert c.sample_tv != a.sample_tv
 
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--split", "0"], "--split"),
+        (["--split", "9"], "--split"),
+        (["--n-max", "-1"], "--n-max"),
+    ])
+    def test_flag_errors_are_usage_errors(self, args, flag):
+        result = CliRunner().invoke(main, ["mcmc", "--d", "4", *args])
+        assert result.exit_code == 2
+        assert flag in result.output
+
+    def test_split_at_the_last_coordinate_runs(self):
+        result = run_cli(["mcmc", "--d", "4", "--split", "4", "--n-max", "0"])
+        assert result.exit_code == 0
+
+
 class TestValidateCommand:
     def test_valid_file(self, tmp_path, cw4):
         P, pi = cw4
@@ -267,6 +329,18 @@ def write_chain_with_nan(path, P, pi):
     if pi is not None:
         doc["stationary"] = pi.probs.tolist()
     path.write_text(json.dumps(doc))
+
+
+class TestLowTemperature:
+    @pytest.mark.parametrize("command", [
+        ["select", "--problem", "entropy", "--T", "0.01", "--d", "10", "--m", "1"],
+        ["mcmc", "--T", "0.01", "--d", "6"],
+    ])
+    def test_underflow_is_named_model_error(self, command):
+        result = CliRunner().invoke(main, command)
+        assert result.exit_code == 3
+        assert "underflows to 0 at T=0.01" in result.output
+        assert "full support" in result.output
 
 
 class TestHostileInput:

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from helpers_naive import (
+    all_states,
     naive_entropy,
     naive_entropy_rate,
     naive_keep_in,
     naive_kl,
     naive_marginal,
+    naive_tensor,
     random_chain,
     random_reversible_chain,
 )
 from mcselect.chain_core import (
     Distribution,
+    EdgeMeasure,
     ProductStateSpace,
     SubsetMask,
     TransitionMatrix,
@@ -30,9 +33,12 @@ from mcselect.functionals import (
     distance_to_stationarity,
     entropy_rate,
     kl_rate,
+    kl_to_blocks,
+    kl_to_stationary,
     shannon_entropy,
     stationary_kernel,
 )
+from mcselect.objectives import Workspace
 
 
 def dist(dims, probs):
@@ -286,3 +292,79 @@ class TestDistanceToFactorizabilityFixed:
                 if bits >> e & 1:
                     continue
                 assert val <= values[bits | 1 << e] + 1e-12
+
+
+def naive_blocks_kl(P, pi, blocks, block_order):
+    """D(P_U || tensor_b P_b) by enumeration: the tensor product of the
+    keep-in blocks is built in block order, then (unless ``block_order``)
+    re-indexed by the digits of U in ascending coordinate order."""
+    dims = P.space.dims
+    rows, probs = P.rows.tolist(), pi.probs.tolist()
+    union = sorted(c for block in blocks for c in block)
+    P_U = naive_keep_in(rows, probs, dims, union)
+    pi_U = naive_marginal(probs, dims, union)
+    block_dims = [tuple(dims[c] for c in block) for block in blocks]
+    L = naive_tensor([naive_keep_in(rows, probs, dims, block) for block in blocks], block_dims)
+    if not block_order:
+        concatenated = all_states(tuple(n for bd in block_dims for n in bd))
+        order = [union.index(c) for block in blocks for c in block]
+        idx = [concatenated.index(tuple(x[p] for p in order))
+               for x in all_states([dims[c] for c in union])]
+        L = [[L[a][b] for b in idx] for a in idx]
+    return naive_kl(P_U, L, pi_U)
+
+
+class TestKlToBlocks:
+    CASES = [
+        ((3, 2, 2), ((0,), (1,), (2,))),
+        ((3, 2, 2), ((1,), (0, 2))),  # block-order radix (2, 6) against P's (3, 2, 2)
+        ((3, 2, 2), ((2,), (0, 1))),
+        ((2, 3, 2), ((0, 2), (1,))),  # block-order radix (4, 3) against P's (2, 3, 2)
+        ((2, 3, 2), ((1,), (), (0, 2))),  # an empty block contributes the factor 1
+        ((2, 3, 2), ((2,), (0,))),  # U = {0, 2} is not the full set
+    ]
+
+    @pytest.mark.parametrize("block_order", [False, True])
+    @pytest.mark.parametrize("dims, blocks", CASES)
+    def test_against_naive(self, rng, dims, blocks, block_order):
+        P, pi = random_chain(rng, dims)
+        masks = [SubsetMask.of(len(dims), block) for block in blocks]
+        got = kl_to_blocks(EdgeMeasure(P, pi), masks, block_order=block_order)
+        assert got == pytest.approx(naive_blocks_kl(P, pi, blocks, block_order), abs=1e-12)
+
+    def test_block_order_differs_when_radix_differs(self, rng):
+        P, pi = random_chain(rng, (3, 2, 2))
+        edge = EdgeMeasure(P, pi)
+        blocks = [SubsetMask.of(3, (1,)), SubsetMask.of(3, (0, 2))]
+        assert abs(kl_to_blocks(edge, blocks) - kl_to_blocks(edge, blocks, block_order=True)) > 1e-3
+
+    def test_entropy_identity_with_workspace(self, rng):
+        P, pi = random_reversible_chain(rng, (2, 3, 2))
+        ws = Workspace(P, pi)
+        for blocks in (((0,), (2,)), ((0, 1), (2,)), ((1,), (0,), (2,))):
+            masks = [SubsetMask.of(3, block) for block in blocks]
+            assert abs(kl_to_blocks(ws.edge, masks) - ws.kl_to_blocks(masks)) <= 1e-12
+
+    def test_overlapping_blocks_rejected(self, rng):
+        P, pi = random_chain(rng, (2, 2))
+        with pytest.raises(ValidationError):
+            kl_to_blocks(EdgeMeasure(P, pi), [SubsetMask.of(2, (0,)), SubsetMask.of(2, (0, 1))])
+
+    def test_absolute_continuity_failure_is_infinite(self):
+        # coordinate 0 always flips and coordinate 1 never moves, so P is the
+        # tensor product of its blocks; read in block order (1, 0), the flip
+        # of x's leading digit lands on the zero off-diagonal of P_1
+        P = tm((2, 2), [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+        edge = EdgeMeasure(P, dist((2, 2), [0.25] * 4))
+        blocks = [SubsetMask.of(2, (0,)), SubsetMask.of(2, (1,))]
+        assert kl_to_blocks(edge, blocks) == 0.0
+        assert kl_to_blocks(edge, blocks, block_order=True) == 0.0
+        assert kl_to_blocks(edge, blocks[::-1], block_order=True) == math.inf
+
+    def test_stationary_kl_matches_dense_kernel(self, rng):
+        P, pi = random_chain(rng, (3, 2))
+        edge = EdgeMeasure(P, pi)
+        for S in SubsetMask.full(2).subsets():
+            pi_S = marginalize(pi, S)
+            want = kl_rate(edge.keep_in(S), stationary_kernel(pi_S), pi_S).value
+            assert kl_to_stationary(edge, S) == want

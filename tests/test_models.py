@@ -63,6 +63,11 @@ class TestCurieWeissChain:
         P, pi = cw4
         assert np.abs(stationary_distribution(P).probs - pi.probs).max() <= 1e-10
 
+    def test_gibbs_underflow_names_temperature_and_state(self):
+        message = r"state 0 \(spins ----\) underflows to 0 at T=0.001"
+        with pytest.raises(ValidationError, match=message):
+            curie_weiss_chain(CurieWeissParams(4, 0.001, 1.0))
+
     def test_spin_to_digit_convention(self):
         # state index 0 is all spins down: its energy is -sum_ij 2^{-|i-j|} + d h
         params = CurieWeissParams(3, 2.0, 0.25)

@@ -1,8 +1,10 @@
-"""Byte-for-byte goldens of the `select` CSV.
+"""Byte-for-byte goldens of the `select` CSV and of one `mcmc` study.
 
 Each case runs `mcselect select` with fixed flags and compares the CSV it
 writes against a committed file under ``tests/golden``.  The goldens pin the
-contract that refactors keep the CSV byte-identical.
+contract that refactors keep the CSV byte-identical.  The `mcmc` golden
+(curve CSV and ``--json`` summary, with the seeded sampler) pins the
+sampler's draws as well.
 
 To regenerate them from a given checkout (only when an output change is
 intended), run from the repository root:
@@ -56,6 +58,11 @@ CASES = {
 }
 
 
+# `mcmc` arguments (without --out/--json) -> (curve CSV, summary JSON) goldens
+MCMC_ARGS = ["--d", "8", "--samples", "20000", "--seed", "1"]
+MCMC_GOLDEN = ("cw8_mcmc_samples.csv", "cw8_mcmc_samples.json")
+
+
 def _select_csv(args: list[str], out: Path) -> bytes:
     result = CliRunner().invoke(main, ["select", *args, "--out", str(out)],
                                 catch_exceptions=False)
@@ -66,6 +73,19 @@ def _select_csv(args: list[str], out: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_select_csv_matches_golden(name, tmp_path):
     assert _select_csv(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
+
+
+def _mcmc_outputs(csv_path: Path, json_path: Path) -> tuple[bytes, bytes]:
+    result = CliRunner().invoke(
+        main, ["mcmc", *MCMC_ARGS, "--out", str(csv_path), "--json", str(json_path)],
+        catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return csv_path.read_bytes(), json_path.read_bytes()
+
+
+def test_mcmc_outputs_match_golden(tmp_path):
+    got = _mcmc_outputs(*(tmp_path / name for name in MCMC_GOLDEN))
+    assert got == tuple((GOLDEN / name).read_bytes() for name in MCMC_GOLDEN)
 
 
 def _write_mixed_chain() -> None:
@@ -87,3 +107,5 @@ if __name__ == "__main__":
     for name, args in CASES.items():
         _select_csv(args, GOLDEN / name)
         print(f"wrote {GOLDEN / name}")
+    _mcmc_outputs(*(GOLDEN / name for name in MCMC_GOLDEN))
+    print("wrote " + ", ".join(str(GOLDEN / name) for name in MCMC_GOLDEN))

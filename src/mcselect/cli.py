@@ -305,6 +305,18 @@ class MixingStudy:
     sample_tv: dict[str, list[float]] | None = None
 
 
+def _step(cumulative: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One inverse-CDF step of every sample: sample t moves from states[t]
+    to the first y with u[t] <= cumulative[states[t], y].  One search per
+    occupied state, over the samples that sit in it."""
+    order = np.argsort(states, kind="stable")
+    occupied, starts = np.unique(states[order], return_index=True)
+    moved = np.empty_like(states)
+    for s, group in zip(occupied, np.split(order, starts[1:])):
+        moved[group] = np.searchsorted(cumulative[s], u[group])
+    return moved
+
+
 def mcmc_study(
     chain: tuple[TransitionMatrix, Distribution] | models.CurieWeissParams,
     n_max: int = 10,
@@ -361,9 +373,7 @@ def mcmc_study(
             cumulative = np.cumsum(kernel, axis=1)
             for _ in range(n_max):
                 u = rng.random(samples)
-                states = np.array(
-                    [int(np.searchsorted(cumulative[s], x)) for s, x in zip(states, u)]
-                )
+                states = _step(cumulative, states, u)
             counts = np.bincount(states, minlength=P.space.total) / samples
             sample_tv[label] = [float(np.abs(counts - pi.probs).sum() / 2.0)]
     return MixingStudy(d, n_max, curves, distances, i_star, tv_original, tv_factorized, sample_tv)

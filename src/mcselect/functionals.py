@@ -24,15 +24,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain_core import (
+    TERM_FLOOR,
     Distribution,
     EdgeMeasure,
     SubsetMask,
     TransitionMatrix,
     ValidationError,
     marginalize,
+    weighted_support,
 )
 
-TERM_FLOOR = 1e-300
 STATIONARITY_TOL = 1e-8
 
 
@@ -74,20 +75,19 @@ def assert_stationary(
         )
 
 
-def _support(mu: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The entries (x, y) with mu(x) M(x, y) > TERM_FLOOR, in row-major
-    order, with M(x, y) and the weight mu(x) M(x, y) at each."""
-    x, y = np.nonzero(M)
-    m = M[x, y]
-    w = mu[x] * m
-    keep = w > TERM_FLOOR
-    return x[keep], y[keep], m[keep], w[keep]
+def _support_in(edge: EdgeMeasure, S: SubsetMask, P_S: TransitionMatrix) -> tuple:
+    """``weighted_support(pi_S, P_S)`` for the keep-S-in matrix P_S; on the
+    full mask, P's support as ``edge`` holds it."""
+    if S.size == edge.space.d:
+        return edge.support()
+    return weighted_support(marginalize(edge.pi, S).probs, P_S.rows)
 
 
-def _kl(mu: np.ndarray, M: np.ndarray, reference: Callable) -> KLResult:
-    """sum over the support of mu(x) M(x, y) ln(M(x, y) / L(x, y)), where
-    ``reference(x, y)`` gives L at the support entries."""
-    x, y, m, w = _support(mu, M)
+def _kl(support: tuple, reference: Callable) -> KLResult:
+    """sum over the support (x, y, M(x, y), mu(x) M(x, y)) of
+    mu(x) M(x, y) ln(M(x, y) / L(x, y)), where ``reference(x, y)`` gives L
+    at the support entries."""
+    x, y, m, w = support
     L = reference(x, y)
     bad = np.flatnonzero(L <= TERM_FLOOR)
     if bad.size:
@@ -100,7 +100,18 @@ def entropy_rate(
 ) -> float:
     """Entropy rate -sum_x sum_y pi(x) P(x,y) ln P(x,y) of a stationary chain."""
     assert_stationary(P, pi, stationarity_tol)
-    _, _, p, w = _support(pi.probs, P.rows)
+    _, _, p, w = weighted_support(pi.probs, P.rows)
+    return float(-(w * np.log(p)).sum())
+
+
+def keep_in_entropy_rate(edge: EdgeMeasure, S: SubsetMask) -> float:
+    """``entropy_rate(P_S, pi_S)`` of the keep-S-in chain; zero for the
+    empty S."""
+    if S.size == 0:
+        return 0.0
+    P_S = edge.keep_in(S)
+    assert_stationary(P_S, marginalize(edge.pi, S))
+    _, _, p, w = _support_in(edge, S, P_S)
     return float(-(w * np.log(p)).sum())
 
 
@@ -112,7 +123,7 @@ def kl_rate(M: TransitionMatrix, L: TransitionMatrix, pi: Distribution) -> KLRes
     """
     if M.space.dims != L.space.dims or M.space.dims != pi.space.dims:
         raise ValidationError("M, L, pi must live on the same space")
-    return _kl(pi.probs, M.rows, lambda x, y: L.rows[x, y])
+    return _kl(weighted_support(pi.probs, M.rows), lambda x, y: L.rows[x, y])
 
 
 def _block_codes(dims: Sequence[int], groups: Sequence[Sequence[int]]) -> list[np.ndarray]:
@@ -162,7 +173,7 @@ def kl_to_blocks(
             L = L * F.rows[code[x], code[y]]
         return L
 
-    return _kl(marginalize(edge.pi, union).probs, P_U.rows, reference).value
+    return _kl(_support_in(edge, union, P_U), reference).value
 
 
 def kl_to_stationary(edge: EdgeMeasure, S: SubsetMask) -> float:
@@ -171,7 +182,7 @@ def kl_to_stationary(edge: EdgeMeasure, S: SubsetMask) -> float:
     if S.size == 0:
         return 0.0
     pi_S = marginalize(edge.pi, S).probs
-    return _kl(pi_S, edge.keep_in(S).rows, lambda x, y: pi_S[y]).value
+    return _kl(_support_in(edge, S, edge.keep_in(S)), lambda x, y: pi_S[y]).value
 
 
 def distance_to_independence(P: TransitionMatrix, pi: Distribution, S: SubsetMask) -> float:

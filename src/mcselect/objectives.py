@@ -249,9 +249,7 @@ def _require_product_form(pi: Distribution, problem_id: str, heuristic: bool) ->
 
 
 def _direct_entropy_rate(edge: EdgeMeasure, mask: SubsetMask) -> float:
-    if mask.size == 0:
-        return 0.0
-    return functionals.entropy_rate(edge.keep_in(mask), marginalize(edge.pi, mask))
+    return functionals.keep_in_entropy_rate(edge, mask)
 
 
 def _direct_indp(ws: Workspace, parts: Parts) -> float:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from helpers_naive import (
     random_chain,
     random_reversible_chain,
 )
+from mcselect import chain_core
 from mcselect.chain_core import (
+    ConvergenceError,
     Distribution,
     ProductStateSpace,
     SubsetMask,
@@ -29,6 +33,9 @@ from mcselect.chain_core import (
     worst_case_tv,
 )
 from mcselect.functionals import entropy_rate, kl_rate, shannon_entropy
+from mcselect.models import CurieWeissParams, curie_weiss_chain, load_chain
+
+MIXED_CHAIN = Path(__file__).parent / "golden" / "mixed_3223.json"
 
 
 def dist(space_dims, probs):
@@ -152,6 +159,17 @@ class TestStationary:
     def test_disconnected_classes_rejected(self):
         with pytest.raises(ValidationError, match="irreducible"):
             stationary_distribution(tm((2, 2), np.eye(4)))
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iterations_rejected(self, max_iters):
+        rows = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="max_iters >= 1"):
+            stationary_distribution(tm((2,), rows), max_iters=max_iters)
+
+    def test_one_iteration_short_of_tolerance(self):
+        rows = np.array([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ConvergenceError, match="after 1 iterations"):
+            stationary_distribution(tm((2,), rows), max_iters=1)
 
 
 class TestMarginalize:
@@ -355,6 +373,81 @@ class TestEdgeMeasure:
         P = tm((2,), [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValidationError):
             EdgeMeasure(P, dist((2,), [1.0, 0.0]))
+
+
+def count_reductions(monkeypatch) -> list:
+    """Record (edge measure, mask bits) at every reduction of a cube."""
+    calls = []
+    reduce = EdgeMeasure._reduce
+
+    def spy(self, mask):
+        calls.append((id(self), mask.bits))
+        return reduce(self, mask)
+
+    monkeypatch.setattr(EdgeMeasure, "_reduce", spy)
+    return calls
+
+
+class TestProjectionMemo:
+    @pytest.mark.parametrize("chain", ["cw6", "mixed_3223"])
+    def test_hit_equals_a_fresh_projection(self, chain, monkeypatch):
+        if chain == "cw6":
+            P, pi = curie_weiss_chain(CurieWeissParams(6, 10.0, 1.0))
+        else:
+            P, pi = load_chain(MIXED_CHAIN)
+        fresh = {S.bits: (EdgeMeasure(P, pi).project(S), EdgeMeasure(P, pi).keep_in(S).rows)
+                 for S in SubsetMask.full(P.space.d).subsets()}
+        reductions = count_reductions(monkeypatch)
+        for S in SubsetMask.full(P.space.d).subsets():
+            reductions.clear()
+            em = EdgeMeasure(P, pi)
+            first = em.project(S)
+            hit, hit_keep_in = em.project(S), em.keep_in(S).rows
+            assert np.array_equal(first, fresh[S.bits][0])
+            assert np.array_equal(hit, fresh[S.bits][0])
+            assert np.array_equal(hit_keep_in, fresh[S.bits][1])
+            # the full mask is a view of the cube; any other is reduced once
+            assert reductions == ([] if S.size == P.space.d else [(id(em), S.bits)])
+
+    def test_mutating_a_result_leaves_the_memo_alone(self, rng):
+        P, pi = random_chain(rng, (3, 2, 2))
+        S = SubsetMask.of(3, (0, 2))
+        want = EdgeMeasure(P, pi).project(S)
+        want_keep_in = EdgeMeasure(P, pi).keep_in(S).rows
+        em = EdgeMeasure(P, pi)
+        for _ in range(2):  # the reduction's result, then a memo hit
+            em.project(S)[:] = -1.0
+            assert np.array_equal(em.project(S), want)
+            assert np.array_equal(em.keep_in(S).rows, want_keep_in)
+        with pytest.raises(ValueError):
+            em.keep_in(S).rows[0, 0] = -1.0
+
+    def test_memo_stays_within_the_cube(self, rng, monkeypatch):
+        P, pi = random_chain(rng, (2,) * 7)
+        masks = list(SubsetMask.full(7).subsets())
+        want = [EdgeMeasure(P, pi).project(S) for S in masks]
+        em = EdgeMeasure(P, pi)
+        reductions = count_reductions(monkeypatch)
+        for S in masks:
+            em.project(S)
+            assert em.held_bytes <= em.cube.nbytes
+        assert len(reductions) == len(masks) - 1
+        # a dense chain does not fit: the first masks are kept, the rest are
+        # reduced again and still project to the same values
+        assert 0 < em.held_bytes
+        for S, E_S in zip(masks, want):
+            assert np.array_equal(em.project(S), E_S)
+        assert em.held_bytes <= em.cube.nbytes
+        assert len(masks) - 1 < len(reductions) < 2 * (len(masks) - 1)
+
+
+class TestHeldSupport:
+    def test_is_the_weighted_support_of_P(self, rng):
+        P, pi = random_chain(rng, (3, 2, 2))
+        held = EdgeMeasure(P, pi).support()
+        for got, want in zip(held, chain_core.weighted_support(pi.probs, P.rows)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
 
 
 class TestMatrixPower:

@@ -190,6 +190,35 @@ class TestSelect:
             cli.run_selection(dec, algorithm, list(range(low, high + 1)), oracle=True)
             assert len(built) == 1, problem
 
+    @pytest.mark.parametrize("args", [
+        ["--problem", "dist2fact", "--algorithm", "greedy", "--block-order"],
+        ["--problem", "k-dist2fact", "--algorithm", "gen-distorted", "--block-order",
+         "--V", "1,2,3|4,5,6|7,8"],
+    ])
+    def test_one_reduction_per_distinct_mask(self, monkeypatch, args):
+        """Across the build, the search, the block-order memo and the drift
+        check, each mask is reduced from the cube once."""
+        from mcselect.chain_core import EdgeMeasure
+
+        projected, reduced = set(), []
+        project, reduce = EdgeMeasure.project, EdgeMeasure._reduce
+
+        def spy_project(edge, mask):
+            if mask.size < mask.d:  # the full mask is a view of the cube
+                projected.add(mask.bits)
+            return project(edge, mask)
+
+        def spy_reduce(edge, mask):
+            reduced.append(mask.bits)
+            return reduce(edge, mask)
+
+        monkeypatch.setattr(EdgeMeasure, "project", spy_project)
+        monkeypatch.setattr(EdgeMeasure, "_reduce", spy_reduce)
+        result = run_cli(["select", *args, "--d", "8", "--m", "1", "--m-max", "8"])
+        assert result.exit_code == 0, result.output
+        assert len(reduced) == len(projected) > 8
+        assert set(reduced) == projected
+
     def test_missing_chain_file_is_model_error(self, tmp_path):
         result = CliRunner().invoke(main, [
             "select", "--problem", "entropy", "--model", "file",
@@ -240,6 +269,20 @@ class TestSelect:
 
 
 class TestMcmc:
+    def test_sampler_step_matches_the_per_sample_search(self, rng):
+        from mcselect.cli import _step
+
+        kernel = rng.random((7, 7)) ** 4
+        kernel[2, :] = 0.0
+        kernel[2, 5] = 1.0  # a row whose only mass sits in one state
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        cumulative = np.cumsum(kernel, axis=1)
+        states = rng.integers(0, 7, size=2000)
+        states[states == 4] = 3  # an unoccupied state
+        u = rng.random(2000)
+        want = np.array([int(np.searchsorted(cumulative[s], x)) for s, x in zip(states, u)])
+        assert np.array_equal(_step(cumulative, states, u), want)
+
     def test_summary_and_curves(self, tmp_path):
         out = tmp_path / "curves.csv"
         summary_path = tmp_path / "summary.json"

@@ -14,6 +14,7 @@ from helpers_naive import (
     random_chain,
     random_reversible_chain,
 )
+from mcselect import chain_core
 from mcselect.chain_core import (
     Distribution,
     EdgeMeasure,
@@ -331,6 +332,28 @@ class TestKlToBlocks:
         masks = [SubsetMask.of(len(dims), block) for block in blocks]
         got = kl_to_blocks(EdgeMeasure(P, pi), masks, block_order=block_order)
         assert got == pytest.approx(naive_blocks_kl(P, pi, blocks, block_order), abs=1e-12)
+
+    @pytest.mark.parametrize("block_order", [False, True])
+    def test_full_union_reads_the_held_support(self, rng, monkeypatch, block_order):
+        """On a full union the held support of P gives exactly the value of
+        a fresh np.nonzero scan, and P is scanned once per edge measure."""
+        partitions = [((0,), (1,), (2,)), ((1,), (0, 2)), ((2,), (0, 1)), ((0, 1, 2),)]
+        scan = chain_core.weighted_support
+        for _ in range(5):
+            P, pi = random_chain(rng, (3, 2, 2))
+            blocks = [[SubsetMask.of(3, b) for b in part] for part in partitions]
+            with monkeypatch.context() as patch:
+                patch.setattr(EdgeMeasure, "support",
+                              lambda edge: scan(edge.pi.probs, edge.P.rows))
+                fresh = [kl_to_blocks(EdgeMeasure(P, pi), masks, block_order) for masks in blocks]
+            scans = []
+            with monkeypatch.context() as patch:
+                patch.setattr(chain_core, "weighted_support",
+                              lambda mu, M: scans.append(1) or scan(mu, M))
+                edge = EdgeMeasure(P, pi)
+                held = [kl_to_blocks(edge, masks, block_order) for masks in blocks]
+            assert held == fresh
+            assert len(scans) == 1
 
     def test_block_order_differs_when_radix_differs(self, rng):
         P, pi = random_chain(rng, (3, 2, 2))

@@ -1,3 +1,4 @@
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,29 @@ class TestHeldSupport:
         for got, want in zip(held, chain_core.weighted_support(pi.probs, P.rows)):
             assert np.array_equal(got, want)
             assert not got.flags.writeable
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def test_mmap_threshold_held_after_a_large_free():
+    """glibc alone would raise its threshold to 8 MiB when the first array
+    is freed, and place the second one in the heap."""
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (OSError, AttributeError):
+        pytest.skip("needs glibc's mallinfo2")
+    mallinfo2.restype = _Mallinfo2
+    big = np.ones(1 << 20)  # 8 MiB
+    del big
+    mapped = mallinfo2().hblks
+    mid = np.ones(1 << 17)  # 1 MiB
+    assert mallinfo2().hblks == mapped + 1
+    del mid
+    assert mallinfo2().hblks == mapped
 
 
 class TestMatrixPower:

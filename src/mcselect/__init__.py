@@ -14,8 +14,8 @@ from .chain_core import (
     matrix_power,
     project_keep_in,
     project_leave_out,
-    reorder_coordinates,
     stationary_distribution,
+    stationary_residual,
     tensor,
     tensor_dist,
     validate,

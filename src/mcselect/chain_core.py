@@ -134,10 +134,6 @@ class ProductStateSpace:
             digits.append(r)
         return tuple(reversed(digits))
 
-    def states(self) -> Iterator[tuple[int, ...]]:
-        for idx in range(self.total):
-            yield self.state_of(idx)
-
     def subspace(self, mask: "SubsetMask") -> "ProductStateSpace":
         if mask.d != self.d:
             raise ValidationError("mask universe does not match space dimension")
@@ -351,6 +347,11 @@ def _require_irreducible(rows: np.ndarray) -> None:
             )
 
 
+def stationary_residual(P: TransitionMatrix, pi: Distribution) -> float:
+    """||pi P - pi||_1, the distance of pi from stationarity under P."""
+    return float(np.abs(pi.probs @ P.rows - pi.probs).sum())
+
+
 def stationary_distribution(
     P: TransitionMatrix,
     tol: float = STATIONARY_SOLVE_TOL,
@@ -521,28 +522,6 @@ def tensor_dist(dists: Sequence[Distribution]) -> Distribution:
         probs = np.kron(probs, mu.probs)
         dims = dims + mu.space.dims
     return Distribution(ProductStateSpace(dims), probs)
-
-
-def reorder_coordinates(P: TransitionMatrix, labels: Sequence[int]) -> TransitionMatrix:
-    """Sort the coordinates of ``P`` by their ``labels``.
-
-    ``labels[i]`` is the sort key attached to coordinate ``i`` of ``P``;
-    the output matrix indexes the same chain with coordinates in ascending
-    label order.  Used to align tensor products (whose coordinates come out
-    in block order) with the canonical ascending-coordinate indexing.
-    """
-    space = P.space
-    if len(labels) != space.d:
-        raise ValidationError("one label per coordinate required")
-    perm = tuple(int(i) for i in np.argsort(np.asarray(labels, dtype=int), kind="stable"))
-    if perm == tuple(range(space.d)):
-        return P
-    d = space.d
-    cube = P.rows.reshape(space.dims + space.dims)
-    cube = cube.transpose(perm + tuple(d + i for i in perm))
-    new_dims = tuple(space.dims[i] for i in perm)
-    n = space.total
-    return TransitionMatrix(ProductStateSpace(new_dims), cube.reshape(n, n))
 
 
 def matrix_power(P: TransitionMatrix, n: int) -> TransitionMatrix:

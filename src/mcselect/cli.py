@@ -22,6 +22,7 @@ import dataclasses
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,9 +40,8 @@ from .chain_core import (
     ValidationError,
     marginalize,
     matrix_power,
-    reorder_coordinates,
     stationary_distribution,
-    tensor,
+    stationary_residual,
     worst_case_tv,
 )
 from .objectives import Partition
@@ -131,6 +131,20 @@ def check_pairing(dec: objectives.ObjectiveDecomposition, algorithm: str) -> Non
             raise click.UsageError(
                 f"--algorithm batch needs f(empty) = 0, but {dec.problem_id} has "
                 f"f(empty) = {base!r}")
+
+
+@contextmanager
+def exit_codes(prefix: str = "model error"):
+    """The one place errors become exit codes: model and file errors exit 3
+    with ``prefix``, guard violations exit 4; usage errors pass through."""
+    try:
+        yield
+    except (ValidationError, ConvergenceError, OSError) as err:
+        click.echo(f"{prefix}: {err}", err=True)
+        sys.exit(EXIT_MODEL)
+    except GuardError as err:
+        click.echo(f"guard violation: {err}", err=True)
+        sys.exit(EXIT_GUARD)
 
 
 def _load_model(model, chain_file, d, temperature, field):
@@ -260,6 +274,15 @@ def selection_csv(dec: objectives.ObjectiveDecomposition, rows: list[SelectionRo
     return "\n".join(lines) + "\n"
 
 
+def _labels(solution) -> list:
+    """Sorted 1-based labels of a subset, or of each part of a partition."""
+    if isinstance(solution, Partition):
+        solution = solution.parts
+    if isinstance(solution, tuple):
+        return [_labels(part) for part in solution]
+    return sorted(i + 1 for i in solution)
+
+
 def selection_sidecar(dec, rows: list[SelectionRow]) -> dict:
     payload = {"problem": dec.problem_id, "constraint": dec.constraint, "beta": dec.beta,
                "notes": list(dec.notes), "rows": []}
@@ -269,26 +292,12 @@ def selection_sidecar(dec, rows: list[SelectionRow]) -> dict:
             "value": row.value,
             "seconds": row.seconds,
             "trajectory": [dataclasses.asdict(step) for step in row.trajectory],
+            "parts" if isinstance(row.chosen, Partition) else "subset": _labels(row.chosen),
         }
-        if isinstance(row.chosen, Partition):
-            entry["parts"] = [sorted(i + 1 for i in p) for p in row.chosen.parts]
-        else:
-            entry["subset"] = sorted(i + 1 for i in row.chosen)
         if row.certificate is not None:
             cert = row.certificate
-            opt = cert.opt
-            if isinstance(opt, tuple):
-                opt_repr = [sorted(i + 1 for i in p) for p in opt]
-            else:
-                opt_repr = sorted(i + 1 for i in opt)
-            entry["certificate"] = {
-                "opt": opt_repr,
-                "g_opt": cert.g_opt,
-                "c_opt": cert.c_opt,
-                "lower_bound": cert.lower_bound,
-                "achieved": cert.achieved,
-                "satisfied": cert.satisfied,
-            }
+            entry["certificate"] = dataclasses.asdict(
+                dataclasses.replace(cert, opt=_labels(cert.opt)))
         payload["rows"].append(entry)
     return payload
 
@@ -359,16 +368,20 @@ def mcmc_study(
     P_minus = edge.keep_in(keep)
     P_single = edge.keep_in(SubsetMask.of(d, (i_star,)))
     tv_original = worst_case_tv(P, pi, n_max)
-    powered = tensor([matrix_power(P_minus, n_max), matrix_power(P_single, n_max)])
-    aligned = reorder_coordinates(powered, keep.indices() + (i_star,))
-    tv_factorized = float(np.abs(aligned.rows - pi.probs[None, :]).sum(axis=1).max() / 2.0)
+    # the factorized kernel P_-i* x P_i*, read in P's coordinate order
+    codes = functionals.block_codes(P.space.dims, [keep.indices(), (i_star,)])
+    grid = np.arange(P.space.total)
+    x, y = grid[:, None], grid[None, :]
+    powered = [matrix_power(P_minus, n_max), matrix_power(P_single, n_max)]
+    aligned = functionals.product_at(powered, codes, x, y)
+    tv_factorized = float(np.abs(aligned - pi.probs[None, :]).sum(axis=1).max() / 2.0)
 
     sample_tv = None
     if samples > 0:
-        factor_step = reorder_coordinates(tensor([P_minus, P_single]), keep.indices() + (i_star,))
+        factor_step = functionals.product_at([P_minus, P_single], codes, x, y)
         rng = np.random.Generator(np.random.Philox(seed))
         sample_tv = {}
-        for label, kernel in (("original", P.rows), ("factorized", factor_step.rows)):
+        for label, kernel in (("original", P.rows), ("factorized", factor_step)):
             states = np.zeros(samples, dtype=int)
             cumulative = np.cumsum(kernel, axis=1)
             for _ in range(n_max):
@@ -430,17 +443,12 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
                oracle, seed, out, svg) -> None:
     """Select coordinate subsets or partitions over a range of budgets."""
     del seed  # selection is deterministic; accepted for interface symmetry
-    try:
+    if oracle and out is None:
+        raise click.UsageError("--oracle needs --out: the certificates go to a JSON "
+                               "file beside the CSV")
+    with exit_codes():
         P, pi = _load_model(model, chain_file, d, temperature, field)
-    except (ValidationError, ConvergenceError, OSError) as err:
-        click.echo(f"model error: {err}", err=True)
-        sys.exit(EXIT_MODEL)
-    except GuardError as err:
-        click.echo(f"guard violation: {err}", err=True)
-        sys.exit(EXIT_GUARD)
-    d = P.space.d
-
-    try:
+        d = P.space.d
         if problem in objectives.PARTITION_PROBLEMS:
             if ceiling_spec is None:
                 raise click.UsageError(f"problem {problem} needs --V")
@@ -455,40 +463,30 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
         else:
             dec = objectives.build_subset_objective(
                 problem, P, pi, beta=beta, heuristic=heuristic, block_order=block_order)
-    except ValidationError as err:
-        click.echo(f"model error: {err}", err=True)
-        sys.exit(EXIT_MODEL)
 
-    check_pairing(dec, algorithm)
-    ms = list(range(m, (m_max if m_max is not None else m) + 1))
-    if not ms:
-        raise click.UsageError(f"empty m range {m}..{m_max}")
-    if algorithm == "local-search" and epsilon <= 0:
-        raise click.UsageError("--epsilon must be positive")
-    try:
-        for budget in ms:
-            dec.validate_m(budget)
-    except ValidationError as err:
-        raise click.UsageError(str(err)) from err
-    try:
+        check_pairing(dec, algorithm)
+        ms = list(range(m, (m_max if m_max is not None else m) + 1))
+        if not ms:
+            raise click.UsageError(f"empty m range {m}..{m_max}")
+        if algorithm == "local-search" and epsilon <= 0:
+            raise click.UsageError("--epsilon must be positive")
+        try:
+            for budget in ms:
+                dec.validate_m(budget)
+        except ValidationError as err:
+            raise click.UsageError(str(err)) from err
         rows = run_selection(dec, algorithm, ms, epsilon=epsilon,
                              batch_spec=batch_sizes, oracle=oracle)
-    except GuardError as err:
-        click.echo(f"guard violation: {err}", err=True)
-        sys.exit(EXIT_GUARD)
-    except ValidationError as err:
-        click.echo(f"model error: {err}", err=True)
-        sys.exit(EXIT_MODEL)
 
-    _write_text(out, selection_csv(dec, rows))
-    if out is not None and oracle:
-        sidecar = Path(out).with_suffix(Path(out).suffix + ".json")
-        sidecar.write_text(json.dumps(selection_sidecar(dec, rows), indent=1) + "\n")
-    if svg is not None:
-        pts = [(float(row.m), row.value) for row in rows]
-        svg_line_chart({f"{problem}/{algorithm}": pts}, f"{problem} ({algorithm})", svg)
-    for note in dec.notes:
-        click.echo(f"note: {note}", err=True)
+        _write_text(out, selection_csv(dec, rows))
+        if oracle:
+            sidecar = Path(out).with_suffix(Path(out).suffix + ".json")
+            sidecar.write_text(json.dumps(selection_sidecar(dec, rows), indent=1) + "\n")
+        if svg is not None:
+            pts = [(float(row.m), row.value) for row in rows]
+            svg_line_chart({f"{problem}/{algorithm}": pts}, f"{problem} ({algorithm})", svg)
+        for note in dec.notes:
+            click.echo(f"note: {note}", err=True)
 
 
 @main.command("mcmc")
@@ -510,62 +508,50 @@ def cmd_mcmc(d, temperature, field, n_max, split, samples, seed, out, json_out, 
         raise click.UsageError(f"--split {split} must lie in 1..{d}")
     if n_max < 0:
         raise click.UsageError(f"--n-max must be >= 0, got {n_max}")
-    try:
+    if samples < 0:
+        raise click.UsageError(f"--samples must be >= 0, got {samples}")
+    with exit_codes():
         params = models.CurieWeissParams(d=d, T=temperature, h=field)
         study = mcmc_study(params, n_max=n_max,
                            split=None if split is None else split - 1,
                            samples=samples, seed=seed)
-    except ValidationError as err:
-        click.echo(f"model error: {err}", err=True)
-        sys.exit(EXIT_MODEL)
-    except GuardError as err:
-        click.echo(f"guard violation: {err}", err=True)
-        sys.exit(EXIT_GUARD)
-
-    _write_text(out, mixing_csv(study))
-    summary = {
-        "i_star": study.i_star + 1,
-        "distance_to_stationarity": {str(i + 1): study.distances[i] for i in sorted(study.distances)},
-        "n": study.n_max,
-        "worst_tv_original": study.tv_original,
-        "worst_tv_factorized": study.tv_factorized,
-    }
-    if study.sample_tv is not None:
-        summary["empirical_tv"] = study.sample_tv
-    if json_out is not None:
-        Path(json_out).write_text(json.dumps(summary, indent=1) + "\n")
-    click.echo(
-        f"i* = {study.i_star + 1}; worst-case TV at n={study.n_max}: "
-        f"original {study.tv_original:.4f}, factorized {study.tv_factorized:.4f}",
-        err=out is None,
-    )
-    if svg is not None:
-        series = {
-            f"coord {i + 1}": [(float(n), 1000.0 * tv) for n, tv in enumerate(study.curves[i], 1)]
-            for i in study.curves
+        _write_text(out, mixing_csv(study))
+        summary = {
+            "i_star": study.i_star + 1,
+            "distance_to_stationarity": {str(i + 1): study.distances[i]
+                                         for i in sorted(study.distances)},
+            "n": study.n_max,
+            "worst_tv_original": study.tv_original,
+            "worst_tv_factorized": study.tv_factorized,
         }
-        svg_line_chart(series, "leave-one-out mixing (1000 x TV)", svg)
+        if study.sample_tv is not None:
+            summary["empirical_tv"] = study.sample_tv
+        if json_out is not None:
+            Path(json_out).write_text(json.dumps(summary, indent=1) + "\n")
+        click.echo(
+            f"i* = {study.i_star + 1}; worst-case TV at n={study.n_max}: "
+            f"original {study.tv_original:.4f}, factorized {study.tv_factorized:.4f}",
+            err=out is None,
+        )
+        if svg is not None:
+            series = {f"coord {i + 1}": [(float(n), 1000.0 * tv)
+                                         for n, tv in enumerate(study.curves[i], 1)]
+                      for i in study.curves}
+            svg_line_chart(series, "leave-one-out mixing (1000 x TV)", svg)
 
 
 @main.command("validate")
 @click.argument("chain_file", type=click.Path())
 def cmd_validate(chain_file) -> None:
     """Validate a chain file and report its stationary residual."""
-    try:
+    with exit_codes("invalid chain file"):
         P, pi = models.load_chain(chain_file)  # validates P and a stored pi
         source = "from file"
         if pi is None:
             pi, source = stationary_distribution(P), "recomputed"
-    except (ValidationError, ConvergenceError, OSError) as err:
-        click.echo(f"invalid chain file: {err}", err=True)
-        sys.exit(EXIT_MODEL)
-    except GuardError as err:
-        click.echo(f"guard violation: {err}", err=True)
-        sys.exit(EXIT_GUARD)
-    residual = float(np.abs(pi.probs @ P.rows - pi.probs).sum())
     click.echo(
         f"ok: {P.space.d} coordinates, {P.space.total} states, "
-        f"stationary {source}, residual {residual:.3e}"
+        f"stationary {source}, residual {stationary_residual(P, pi):.3e}"
     )
 
 

@@ -31,6 +31,7 @@ from .chain_core import (
     TransitionMatrix,
     ValidationError,
     marginalize,
+    stationary_residual,
     weighted_support,
 )
 
@@ -68,7 +69,7 @@ def shannon_entropy(mu: Distribution | np.ndarray) -> float:
 def assert_stationary(
     P: TransitionMatrix, pi: Distribution, tol: float = STATIONARITY_TOL
 ) -> None:
-    residual = float(np.abs(pi.probs @ P.rows - pi.probs).sum())
+    residual = stationary_residual(P, pi)
     if residual > tol:
         raise ValidationError(
             f"pi is not stationary for P: ||pi P - pi||_1 = {residual:.3e} > {tol}"
@@ -126,7 +127,7 @@ def kl_rate(M: TransitionMatrix, L: TransitionMatrix, pi: Distribution) -> KLRes
     return _kl(weighted_support(pi.probs, M.rows), lambda x, y: L.rows[x, y])
 
 
-def _block_codes(dims: Sequence[int], groups: Sequence[Sequence[int]]) -> list[np.ndarray]:
+def block_codes(dims: Sequence[int], groups: Sequence[Sequence[int]]) -> list[np.ndarray]:
     """For every state of the space with digit radix ``dims``, the index of
     its digits at each group of digit positions, read in the group's radix."""
     states = np.arange(math.prod(dims))
@@ -137,6 +138,20 @@ def _block_codes(dims: Sequence[int], groups: Sequence[Sequence[int]]) -> list[n
             code = code * dims[p] + states // math.prod(dims[p + 1:]) % dims[p]
         codes.append(code)
     return codes
+
+
+def product_at(
+    factors: Sequence[TransitionMatrix], codes: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """The product kernel prod_b F_b(code_b[x], code_b[y]) at the index
+    arrays ``x`` and ``y`` (broadcast together), multiplied left to right
+    as ``np.kron`` does: with ``codes`` from :func:`block_codes` this reads
+    the tensor product of the factors, realigned to the space the codes
+    index, without building it."""
+    L = np.ones(np.broadcast_shapes(x.shape, y.shape))
+    for F, code in zip(factors, codes):
+        L = L * F.rows[code[x], code[y]]
+    return L
 
 
 def kl_to_blocks(
@@ -162,18 +177,12 @@ def kl_to_blocks(
     P_U = edge.keep_in(union)
     factors = [edge.keep_in(block) for block in blocks]
     if block_order:
-        codes = _block_codes([F.space.total for F in factors], [(b,) for b in range(len(blocks))])
+        codes = block_codes([F.space.total for F in factors], [(b,) for b in range(len(blocks))])
     else:
         position = {coord: p for p, coord in enumerate(union)}
-        codes = _block_codes(P_U.space.dims, [[position[c] for c in block] for block in blocks])
-
-    def reference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        L = np.ones(x.shape)
-        for F, code in zip(factors, codes):
-            L = L * F.rows[code[x], code[y]]
-        return L
-
-    return _kl(_support_in(edge, union, P_U), reference).value
+        codes = block_codes(P_U.space.dims, [[position[c] for c in block] for block in blocks])
+    return _kl(_support_in(edge, union, P_U),
+               lambda x, y: product_at(factors, codes, x, y)).value
 
 
 def kl_to_stationary(edge: EdgeMeasure, S: SubsetMask) -> float:

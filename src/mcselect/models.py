@@ -24,6 +24,8 @@ from .chain_core import (
     ProductStateSpace,
     TransitionMatrix,
     ValidationError,
+    stationary_distribution,
+    stationary_residual,
     validate,
 )
 
@@ -115,7 +117,7 @@ def curie_weiss_chain(params: CurieWeissParams) -> tuple[TransitionMatrix, Distr
     np.clip(diag, 0.0, None, out=diag)
     rows[states, states] = diag
 
-    P = TransitionMatrix(pi.space, rows)
+    P = TransitionMatrix._adopt(pi.space, rows)
     validate(P)
     return P, pi
 
@@ -146,8 +148,6 @@ def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]
     1e-6 a :class:`StationaryMismatchWarning` is emitted and the vector is
     recomputed by power iteration instead.
     """
-    from .chain_core import stationary_distribution
-
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
@@ -174,7 +174,7 @@ def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]
         if probs.shape != (space.total,):
             raise ValidationError("stationary vector length does not match the state space")
         pi = Distribution(space, probs)
-        residual = float(np.abs(pi.probs @ P.rows - pi.probs).sum())
+        residual = stationary_residual(P, pi)
         if residual > STATIONARY_FILE_TOL:
             warnings.warn(
                 f"stored stationary vector has residual {residual:.3e} > {STATIONARY_FILE_TOL}; "

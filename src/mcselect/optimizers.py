@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .chain_core import GuardError, SubsetMask, ValidationError
 from .objectives import ObjectiveDecomposition, Partition, Parts
@@ -248,13 +248,13 @@ def brute_force_opt(
     domain: SubsetMask | Partition | Sequence[SubsetMask],
     m: int,
     constraint: str = "le",
-    order: str = "index",
 ):
     """Exhaustive maximization over subsets of a ground set, or over
     partitions below a ceiling, under |S| <= m or = m.
 
-    Deterministic first-found tie-break in the enumeration order.  Guarded:
-    the candidate count may not exceed 2^24.
+    Deterministic first-found tie-break in the binary counting order of
+    :meth:`SubsetMask.subsets`.  Guarded: the candidate count may not
+    exceed 2^24.
     """
     if isinstance(domain, SubsetMask):
         ground = domain
@@ -266,15 +266,10 @@ def brute_force_opt(
         raise GuardError(f"brute force over 2^{ground.size} candidates exceeds the 2^24 cap")
     if constraint not in ("le", "eq"):
         raise ValidationError(f"unknown constraint {constraint!r}")
-    candidates: Iterable[SubsetMask] = ground.subsets()
-    if order == "size":
-        candidates = sorted(candidates, key=lambda S: (S.size, S.bits))
-    elif order != "index":
-        raise ValidationError(f"unknown enumeration order {order!r}")
 
     best = None
     best_value = -math.inf
-    for subset in candidates:
+    for subset in ground.subsets():
         size = subset.size
         if size > m or (constraint == "eq" and size != m):
             continue

@@ -26,7 +26,6 @@ from mcselect.chain_core import (
     matrix_power,
     project_keep_in,
     project_leave_out,
-    reorder_coordinates,
     stationary_distribution,
     tensor,
     tensor_dist,
@@ -306,14 +305,6 @@ class TestTensor:
         got = project_keep_in(P, pi, S)
         want = tensor([factors[0][0], factors[2][0]])
         assert np.abs(got.rows - want.rows).max() <= 1e-12
-
-    def test_reorder_coordinates_round_trip(self, rng):
-        P, _ = random_chain(rng, (2, 3, 2), stationary=False)
-        shuffled = reorder_coordinates(P, (2, 0, 1))
-        # labels (2,0,1) sort to positions (1,2,0)
-        assert shuffled.space.dims == (3, 2, 2)
-        back = reorder_coordinates(shuffled, (1, 2, 0))
-        assert np.allclose(back.rows, P.rows)
 
 
 class TestEdgeMeasure:

@@ -138,6 +138,7 @@ class TestSelect:
         ["--problem", "dist2indp-complement", "--m", "1", "--m-max", "3"],  # beyond d - 2
         ["--problem", "dist2stat", "--algorithm", "batch", "--batch-sizes", "2,0", "--m", "2"],
         ["--problem", "entropy", "--algorithm", "local-search", "--epsilon", "0"],
+        ["--problem", "entropy", "--m", "1", "--oracle"],  # certificates need --out
         *PAIRING_ERRORS,
     ])
     def test_flag_errors_are_usage_errors(self, args):
@@ -145,6 +146,8 @@ class TestSelect:
         assert result.exit_code == 2
         if args in PAIRING_ERRORS:
             assert "--algorithm" in result.output
+        if "--oracle" in args:
+            assert "--oracle" in result.output
 
     def test_drift_is_model_error(self, monkeypatch):
         from mcselect import objectives
@@ -329,6 +332,7 @@ class TestMcmc:
         (["--split", "0"], "--split"),
         (["--split", "9"], "--split"),
         (["--n-max", "-1"], "--n-max"),
+        (["--samples", "-5"], "--samples"),
     ])
     def test_flag_errors_are_usage_errors(self, args, flag):
         result = CliRunner().invoke(main, ["mcmc", "--d", "4", *args])
@@ -338,6 +342,52 @@ class TestMcmc:
     def test_split_at_the_last_coordinate_runs(self):
         result = run_cli(["mcmc", "--d", "4", "--split", "4", "--n-max", "0"])
         assert result.exit_code == 0
+
+    def test_dense_cap_guard_exit_code(self):
+        result = CliRunner().invoke(main, ["mcmc", "--d", "14"])
+        assert result.exit_code == 4
+        assert "guard violation" in result.output
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 2, 2)])
+    def test_factorized_kernel_matches_the_realigned_tensor(self, rng, dims):
+        """On mixed-radix chains, at every split, the factorized distance and
+        the sampled distances equal those of np.kron's tensor product with
+        its axes transposed back to the chain's coordinate order."""
+        from helpers_naive import random_reversible_chain
+        from mcselect.chain_core import (
+            SubsetMask, matrix_power, project_keep_in, tensor)
+
+        P, pi = random_reversible_chain(rng, dims)
+        d, n, n_max, samples, seed = len(dims), P.space.total, 3, 400, 5
+
+        def realigned(factors, perm):
+            kernel = tensor(factors)
+            axes = tuple(np.argsort(perm))
+            cube = kernel.rows.reshape(kernel.space.dims * 2)
+            return cube.transpose(axes + tuple(d + a for a in axes)).reshape(n, n)
+
+        for split in range(d):
+            study = mcmc_study((P, pi), n_max=n_max, split=split, samples=samples, seed=seed)
+            keep = SubsetMask.of(d, (split,)).complement()
+            factors = [project_keep_in(P, pi, keep),
+                       project_keep_in(P, pi, SubsetMask.of(d, (split,)))]
+            perm = keep.indices() + (split,)
+            powered = realigned([matrix_power(F, n_max) for F in factors], perm)
+            want = float(np.abs(powered - pi.probs[None, :]).sum(axis=1).max() / 2.0)
+            assert study.tv_factorized == want
+
+            rng_s = np.random.Generator(np.random.Philox(seed))
+            sample_tv = {}
+            for label, kernel in (("original", P.rows), ("factorized", realigned(factors, perm))):
+                cumulative = np.cumsum(kernel, axis=1)
+                states = np.zeros(samples, dtype=int)
+                for _ in range(n_max):
+                    u = rng_s.random(samples)
+                    states = np.array([np.searchsorted(cumulative[s], x)
+                                       for s, x in zip(states, u)])
+                counts = np.bincount(states, minlength=n) / samples
+                sample_tv[label] = [float(np.abs(counts - pi.probs).sum() / 2.0)]
+            assert study.sample_tv == sample_tv
 
 
 class TestValidateCommand:
@@ -415,3 +465,12 @@ class TestHostileInput:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 3
         assert "power iteration did not reach" in result.output
+
+    @pytest.mark.parametrize("command", [
+        ["select", "--problem", "entropy", "--d", "4", "--m", "1"],
+        ["mcmc", "--d", "4", "--n-max", "2"],
+    ])
+    def test_unwritable_out_is_file_error(self, tmp_path, command):
+        result = CliRunner().invoke(main, [*command, "--out", str(tmp_path / "no" / "out.csv")])
+        assert result.exit_code == 3
+        assert "model error: [Errno 2] No such file or directory" in result.output

@@ -298,13 +298,6 @@ class TestBruteForce:
         assert got.indices() == (0, 2)
         assert abs(value - 0.7) <= 1e-15
 
-    def test_enumeration_orders_agree(self, rng):
-        P, pi = random_reversible_chain(rng, (2, 2, 2))
-        dec = build_subset_objective("dist2fact", P, pi)
-        a = brute_force_opt(dec.f, dec.ground, 2, "le", order="index")
-        b = brute_force_opt(dec.f, dec.ground, 2, "le", order="size")
-        assert abs(a[1] - b[1]) <= 1e-15
-
     def test_matches_itertools_oracle(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2, 2))
         dec = build_subset_objective("entropy", P, pi)

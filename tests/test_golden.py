@@ -1,9 +1,13 @@
-"""Byte-for-byte goldens of the `select` CSV and of one `mcmc` study.
+"""Byte-for-byte goldens of the `select` CSV, of `select --oracle`
+sidecars, of one `mcmc` study and of the exhaustive oracle reports.
 
 Each case runs `mcselect select` with fixed flags and compares the CSV it
 writes against a committed file under ``tests/golden``.  The goldens pin the
-contract that refactors keep the CSV byte-identical.  The `mcmc` golden
-(curve CSV and ``--json`` summary, with the seeded sampler) pins the
+contract that refactors keep the CSV byte-identical.  The `--oracle`
+sidecars (with the wall-clock ``seconds`` dropped) pin the optimizer
+trajectories and the bound certificates, and the oracle report golden pins
+the verdict, margin bits and witness of the brute-force checks.  The `mcmc`
+golden (curve CSV and ``--json`` summary, with the seeded sampler) pins the
 sampler's draws as well.
 
 To regenerate them from a given checkout (only when an output change is
@@ -17,13 +21,29 @@ kept as committed afterwards.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mcselect.chain_core import SubsetMask
 from mcselect.cli import main
+from mcselect.models import load_chain
+from mcselect.objectives import (
+    Workspace,
+    build_partition_objective,
+    build_subset_objective,
+    union_of,
+)
+from mcselect.oracle import (
+    check_k_submodular,
+    check_monotone,
+    check_submodular,
+    check_supermodular,
+    ratios,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 MIXED_CHAIN = GOLDEN / "mixed_3223.json"
@@ -58,6 +78,24 @@ CASES = {
 }
 
 
+# golden file name -> `select --oracle` arguments (without --out); the golden
+# is the JSON sidecar with every row's `seconds` dropped
+ORACLE_CASES = {
+    "cw6_dist2stat_batch_pairs.oracle.json": [
+        "--problem", "dist2stat", "--algorithm", "batch", "--batch-sizes", "pairs",
+        "--d", "6", "--T", "10", "--h", "1", "--m", "1", "--m-max", "6"],
+    "mixed_entropy_distorted.oracle.json": [
+        "--problem", "entropy", "--algorithm", "distorted", *_MIXED, "--m", "1", "--m-max", "4"],
+    "mixed_k_entropy_gen.oracle.json": [
+        "--problem", "k-entropy", "--algorithm", "gen-distorted", "--V", "1,2|3,4", *_MIXED,
+        "--m", "1", "--m-max", "4"],
+    "mixed_entropy_local_search.oracle.json": [
+        "--problem", "entropy", "--algorithm", "local-search", *_MIXED],
+}
+
+# oracle reports on the mixed-radix chain: verdict, margin bits and witness
+ORACLE_REPORTS = "mixed_oracle_reports.json"
+
 # `mcmc` arguments (without --out/--json) -> (curve CSV, summary JSON) goldens
 MCMC_ARGS = ["--d", "8", "--samples", "20000", "--seed", "1"]
 MCMC_GOLDEN = ("cw8_mcmc_samples.csv", "cw8_mcmc_samples.json")
@@ -73,6 +111,86 @@ def _select_csv(args: list[str], out: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_select_csv_matches_golden(name, tmp_path):
     assert _select_csv(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
+
+
+def _oracle_sidecar(args: list[str], out: Path) -> str:
+    result = CliRunner().invoke(main, ["select", *args, "--oracle", "--out", str(out)],
+                                catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(Path(f"{out}.json").read_text())
+    for row in payload["rows"]:
+        del row["seconds"]
+    return json.dumps(payload, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_oracle_sidecar_matches_golden(name, tmp_path):
+    got = _oracle_sidecar(ORACLE_CASES[name], tmp_path / "out.csv")
+    assert got == (GOLDEN / name).read_text()
+
+
+def _check(result, clause: str = "subset") -> dict:
+    """A check's verdict; margin and witness are kept for every passing
+    check and for failing subset and lattice checks, whose witness is the
+    first violation in scan order."""
+    entry = {"passed": result.passed}
+    if result.passed or clause in ("subset", "lattice"):
+        entry["margin"] = float(result.margin).hex()
+        entry["witness"] = repr(result.witness)
+    return entry
+
+
+def _oracle_reports() -> str:
+    P, pi = load_chain(MIXED_CHAIN)
+    ws = Workspace(P, pi)
+    d = P.space.d
+    ground = SubsetMask.full(d)
+    caps = (SubsetMask.of(d, (0, 1)), SubsetMask.of(d, (2, 3)))
+    reports: dict[str, dict] = {}
+    subset_fns = {
+        problem: build_subset_objective(problem, P, pi, heuristic=True, workspace=ws).g
+        for problem in ("entropy", "dist2fact", "dist2indp", "dist2indp-complement",
+                        "dist2stat-product", "dist2stat-complement")
+    }
+    subset_fns.update({"entropy_rate": ws.entropy_rate, "entropy_pi": ws.entropy_pi,
+                       "dist_to_independence": ws.dist_to_independence,
+                       "dist_to_stationarity": ws.dist_to_stationarity})
+    for name, fn in subset_fns.items():
+        reports[f"{name} submodular"] = _check(check_submodular(fn, ground))
+        reports[f"{name} supermodular"] = _check(check_supermodular(fn, ground))
+        reports[f"{name} monotone"] = _check(check_monotone(fn, ground))
+        reports[f"{name} nonincreasing"] = _check(check_monotone(fn, ground, False))
+        for m in (1, 2, 4):
+            report = ratios(fn, ground, m)
+            reports[f"{name} ratios m={m}"] = {
+                "eta": float(report.eta).hex(), "gamma": float(report.gamma).hex(),
+                "eta_witness": repr(report.eta_witness),
+                "gamma_witness": repr(report.gamma_witness)}
+
+    k_fns = {
+        problem: (build_partition_objective(problem, P, pi, caps, heuristic=True,
+                                            workspace=ws).g, caps)
+        for problem in ("k-entropy", "k-dist2fact", "k-dist2indp", "k-dist2indp-complement",
+                        "k-dist2stat", "k-dist2stat-complement")
+    }
+    k_fns.update({
+        "sum entropy_rate": (lambda parts: sum(ws.entropy_rate(p) for p in parts), None),
+        "-sum dist_to_independence": (
+            lambda parts: -sum(ws.dist_to_independence(p) for p in parts), None),
+        "entropy_rate of union": (lambda parts: ws.entropy_rate(union_of(parts)), None),
+        "sum dist_to_stationarity": (
+            lambda parts: sum(ws.dist_to_stationarity(p) for p in parts), None),
+    })
+    for name, (F, ceiling) in k_fns.items():
+        report = check_k_submodular(F, ground, 2, ceiling=ceiling)
+        label = f"{name} k-submodular" + (" below V" if ceiling else "")
+        for clause in ("lattice", "orthant", "pairwise_monotone"):
+            reports[f"{label} {clause}"] = _check(getattr(report, clause), clause)
+    return json.dumps(reports, indent=1) + "\n"
+
+
+def test_oracle_reports_match_golden():
+    assert _oracle_reports() == (GOLDEN / ORACLE_REPORTS).read_text()
 
 
 def _mcmc_outputs(csv_path: Path, json_path: Path) -> tuple[bytes, bytes]:
@@ -107,5 +225,12 @@ if __name__ == "__main__":
     for name, args in CASES.items():
         _select_csv(args, GOLDEN / name)
         print(f"wrote {GOLDEN / name}")
+    for name, args in ORACLE_CASES.items():
+        (GOLDEN / name).write_text(_oracle_sidecar(args, GOLDEN / "oracle.csv"))
+        print(f"wrote {GOLDEN / name}")
+    for scratch in (GOLDEN / "oracle.csv", GOLDEN / "oracle.csv.json"):
+        scratch.unlink()
+    (GOLDEN / ORACLE_REPORTS).write_text(_oracle_reports())
+    print(f"wrote {GOLDEN / ORACLE_REPORTS}")
     _mcmc_outputs(*(GOLDEN / name for name in MCMC_GOLDEN))
     print("wrote " + ", ".join(str(GOLDEN / name) for name in MCMC_GOLDEN))

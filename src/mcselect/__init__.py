@@ -12,8 +12,6 @@ from .chain_core import (
     ValidationError,
     marginalize,
     matrix_power,
-    project_keep_in,
-    project_leave_out,
     stationary_distribution,
     stationary_residual,
     tensor,

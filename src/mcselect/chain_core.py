@@ -494,17 +494,6 @@ class EdgeMeasure:
         return self._support
 
 
-def project_keep_in(P: TransitionMatrix, pi: Distribution, mask: SubsetMask) -> TransitionMatrix:
-    """Keep-``mask``-in transition matrix of P with respect to pi (see
-    :meth:`EdgeMeasure.keep_in`)."""
-    return EdgeMeasure(P, pi).keep_in(mask)
-
-
-def project_leave_out(P: TransitionMatrix, pi: Distribution, mask: SubsetMask) -> TransitionMatrix:
-    """Leave-``mask``-out matrix: the keep-in matrix of the complement."""
-    return project_keep_in(P, pi, mask.complement())
-
-
 def tensor(matrices: Sequence[TransitionMatrix]) -> TransitionMatrix:
     """Tensor product of transition matrices; factor coordinates concatenate."""
     dims: tuple[int, ...] = ()

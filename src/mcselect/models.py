@@ -24,6 +24,7 @@ from .chain_core import (
     ProductStateSpace,
     TransitionMatrix,
     ValidationError,
+    _require_irreducible,
     stationary_distribution,
     stationary_residual,
     validate,
@@ -144,8 +145,9 @@ def save_chain(path: str | Path, P: TransitionMatrix, pi: Distribution | None = 
 def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]:
     """Parse, validate, and return a chain file.
 
-    A stored stationary vector is checked against P; if its residual exceeds
-    1e-6 a :class:`StationaryMismatchWarning` is emitted and the vector is
+    P must be irreducible, whether or not the file stores pi.  A stored
+    stationary vector is checked against P; if its residual exceeds 1e-6 a
+    :class:`StationaryMismatchWarning` is emitted and the vector is
     recomputed by power iteration instead.
     """
     try:
@@ -167,6 +169,7 @@ def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]
         )
     P = TransitionMatrix(space, transition)
     validate(P)
+    _require_irreducible(P.rows)
 
     pi: Distribution | None = None
     if "stationary" in doc:

@@ -1,13 +1,17 @@
 """Greedy-family search procedures with deterministic tie-breaking.
 
-Tie-breaking is everywhere "smallest element index", or lexicographically
-smallest (slot, element) for partitions: candidate scans go in ascending
-order and only a strictly larger score displaces the incumbent.
+Greedy, distorted greedy, generalized distorted greedy and batch greedy are
+rounds of one candidate scan (:func:`_scan`); ties go to the smallest
+element index, or the lexicographically smallest (slot, element).
 
 Cardinality semantics: problems posed with an exact constraint ("eq") force
 an acceptance every iteration, because their objectives are non-increasing
 and the distorted score test would otherwise never fire; the strict "> 0"
 acceptance test applies to budget ("le") constraints.
+
+Local search is one loop of first-improving moves.  While f > 0 a move must
+reach (1 + epsilon/d^2) f; otherwise it must raise f strictly, so the search
+also ends on objectives that are zero or negative.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .chain_core import GuardError, SubsetMask, ValidationError
-from .objectives import ObjectiveDecomposition, Partition, Parts
+from .objectives import ObjectiveDecomposition, Partition, Parts, parts_below, union_of
 
 BRUTE_FORCE_CAP = 1 << 24
 CERT_SLACK = 1e-9
@@ -69,45 +73,45 @@ def _scan(
     g: Callable[[Parts], float],
     caps: Parts,
     constraint: str,
-    kappa: Sequence[float],
+    rounds: Sequence[tuple[float, int]],
     penalty: Callable[[int, int], float],
     slotted: bool,
 ) -> tuple[Parts, tuple[TrajectoryStep, ...]]:
-    """The candidate scan behind the greedy family, one step per kappa.
+    """The candidate scan behind the greedy family, one round per (kappa, q).
 
-    Step i adds the (slot j, element e in caps[j] minus S_j) maximizing
-    kappa[i] * (g(S + e in slot j) - g(S)) - penalty(j, e); a subset is the
-    one-slot case, recorded with slot None unless ``slotted``.  A rejected
-    step at kappa 1 ends the run, since nothing changes afterwards.
+    Round i scores every (slot j, element e in caps[j] minus S_j) by
+    kappa * (g(S + e in slot j) - g(S)) - penalty(j, e) and takes the q best,
+    ties broken on the smallest (slot, element); a subset is the one-slot
+    case, recorded with slot None unless ``slotted``.  A round that accepts
+    nothing at kappa 1 ends the run, since nothing changes afterwards.
     """
     parts: Parts = tuple(SubsetMask.empty(cap.d) for cap in caps)
+    grown = lambda j, e: parts[:j] + (parts[j].add(e),) + parts[j + 1 :]
     steps: list[TrajectoryStep] = []
     g_current = g(parts)
-    for i, k_i in enumerate(kappa):
-        best: tuple[int, int] | None = None
-        best_score = -math.inf
-        for j, cap in enumerate(caps):
-            for e in cap - parts[j]:
-                grown = parts[:j] + (parts[j].add(e),) + parts[j + 1 :]
-                score = k_i * (g(grown) - g_current) - penalty(j, e)
-                if score > best_score:
-                    best, best_score = (j, e), score
-        if best is None:
-            break  # every ceiling group exhausted: remaining iterations no-op
-        j, e = best
-        accept = constraint == "eq" or best_score > 0.0
-        steps.append(TrajectoryStep(i, e, j if slotted else None, best_score, accept))
-        if accept:
-            parts = parts[:j] + (parts[j].add(e),) + parts[j + 1 :]
+    for i, (kappa, q) in enumerate(rounds):
+        # negated scores, so that ascending order puts the best first
+        ranked = sorted((-(kappa * (g(grown(j, e)) - g_current) - penalty(j, e)), j, e)
+                        for j, cap in enumerate(caps) for e in cap - parts[j])
+        if not ranked:
+            break  # every ceiling group exhausted: remaining rounds no-op
+        accepted = False
+        for neg_score, j, e in ranked[:q]:
+            accept = constraint == "eq" or -neg_score > 0.0
+            steps.append(TrajectoryStep(i, e, j if slotted else None, -neg_score, accept))
+            if accept:
+                parts, accepted = grown(j, e), True
+        if accepted:
             g_current = g(parts)
-        elif k_i == 1.0:
+        elif kappa == 1.0:
             break
     return parts, tuple(steps)
 
 
-def _distortion(m: int) -> list[float]:
-    """kappa_i = (1 - 1/m)^(m - (i+1)) of the distorted greedy algorithms."""
-    return [(1.0 - 1.0 / m) ** (m - (i + 1)) for i in range(m)]
+def _distortion(m: int) -> list[tuple[float, int]]:
+    """Rounds (kappa_i, 1) with kappa_i = (1 - 1/m)^(m - (i+1)) of the
+    distorted greedy algorithms."""
+    return [((1.0 - 1.0 / m) ** (m - (i + 1)), 1) for i in range(m)]
 
 
 def greedy(
@@ -123,7 +127,7 @@ def greedy(
     run stops early once it is not, since nothing changes afterwards).
     """
     _check_budget(m, ground, constraint)
-    (S,), steps = _scan(lambda parts: f(parts[0]), (ground,), constraint, [1.0] * m,
+    (S,), steps = _scan(lambda parts: f(parts[0]), (ground,), constraint, [(1.0, 1)] * m,
                         lambda j, e: 0.0, slotted=False)
     return RunResult(S, f(S), steps)
 
@@ -158,9 +162,12 @@ def local_search(
 ) -> RunResult:
     """Local add/drop search for non-negative submodular maximization.
 
-    Starts from the best singleton, adds any element improving f by the
-    factor (1 + epsilon/d^2), then deletes under the same rule and repeats.
-    Returns the better of the final S and its complement in the ground set.
+    Starts from the best singleton.  Each step takes the first addition that
+    improves f, or if there is none the first deletion; it stops when there
+    is neither.  While f(S) > 0 a move improves f when it reaches
+    (1 + epsilon/d^2) f(S); otherwise it must exceed f(S).  Every evaluation
+    counts against ``max_steps``.  Returns the better of the final S and its
+    complement in the ground set.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
@@ -169,44 +176,34 @@ def local_search(
         empty = SubsetMask.empty(ground.d)
         return RunResult(empty, f(empty), ())
     factor = 1.0 + epsilon / d**2
-    steps: list[TrajectoryStep] = []
     budget = max_steps
 
-    best_e, best_val = -1, -math.inf
-    for e in ground:
-        val = f(SubsetMask.of(ground.d, (e,)))
-        if val > best_val:
-            best_e, best_val = e, val
-    S = SubsetMask.of(ground.d, (best_e,))
-    current = best_val
-    steps.append(TrajectoryStep(0, best_e, None, best_val, True))
+    singles = {e: f(SubsetMask.of(ground.d, (e,))) for e in ground}
+    best = max(singles, key=singles.get)  # the first, so the smallest, maximizer
+    S, current = SubsetMask.of(ground.d, (best,)), singles[best]
+    steps = [TrajectoryStep(0, best, None, current, True)]
 
-    changed = True
-    while changed:
-        changed = True
-        while changed:
-            changed = False
-            for a in ground - S:
-                budget -= 1
-                if budget < 0:
-                    raise GuardError("local search exceeded its iteration cap")
-                val = f(S.add(a))
-                if val >= factor * current:
-                    S, current = S.add(a), val
-                    steps.append(TrajectoryStep(len(steps), a, None, val, True))
-                    changed = True
-                    break
-        changed = False
-        for a in S:
+    def first_improving(moves):
+        nonlocal budget
+        for a, candidate in moves:
             budget -= 1
             if budget < 0:
                 raise GuardError("local search exceeded its iteration cap")
-            val = f(S.remove(a))
-            if val >= factor * current:
-                S, current = S.remove(a), val
-                steps.append(TrajectoryStep(len(steps), a, None, val, False))
-                changed = True
+            val = f(candidate)
+            if (val >= factor * current) if current > 0 else (val > current):
+                return a, candidate, val
+        return None
+
+    while True:
+        added = True
+        move = first_improving((a, S.add(a)) for a in ground - S)
+        if move is None:
+            added = False
+            move = first_improving((a, S.remove(a)) for a in S)
+            if move is None:
                 break
+        a, S, current = move
+        steps.append(TrajectoryStep(len(steps), a, None, current, added))
 
     inside, outside = f(S), f(ground - S)
     if inside >= outside:
@@ -228,19 +225,12 @@ def batch_greedy(
     if any(q <= 0 for q in sizes):
         raise ValidationError("batch sizes must be positive")
     _check_budget(m, ground, "eq")
-    S = SubsetMask.empty(ground.d)
-    base = f(S)
+    base = f(SubsetMask.empty(ground.d))
     if abs(base) > 1e-9:
         raise ValidationError(f"batch greedy requires f(empty) = 0, got {base!r}")
-    steps: list[TrajectoryStep] = []
-    for step_idx, q in enumerate(sizes):
-        current = f(S)
-        gains = [(-(f(S.add(e)) - current), e) for e in ground - S]
-        gains.sort()
-        for neg_gain, e in gains[:q]:
-            steps.append(TrajectoryStep(step_idx, e, None, -neg_gain, True))
-            S = S.add(e)
-    return RunResult(S, f(S), tuple(steps))
+    (S,), steps = _scan(lambda parts: f(parts[0]), (ground,), "eq",
+                        [(1.0, q) for q in sizes], lambda j, e: 0.0, slotted=False)
+    return RunResult(S, f(S), steps)
 
 
 def brute_force_opt(
@@ -257,11 +247,13 @@ def brute_force_opt(
     exceed 2^24.
     """
     if isinstance(domain, SubsetMask):
-        ground = domain
-        caps: Parts | None = None
+        caps: Parts = (domain,)
+        pick = lambda parts: parts[0]
     else:
         caps = tuple(domain.parts if isinstance(domain, Partition) else domain)
-        ground = Partition(caps).support()
+        Partition(caps)  # checks pairwise disjointness
+        pick = lambda parts: parts
+    ground = union_of(caps)
     if ground.size > 24:
         raise GuardError(f"brute force over 2^{ground.size} candidates exceeds the 2^24 cap")
     if constraint not in ("le", "eq"):
@@ -269,17 +261,12 @@ def brute_force_opt(
 
     best = None
     best_value = -math.inf
-    for subset in ground.subsets():
-        size = subset.size
+    for parts in parts_below(caps):
+        size = sum(part.size for part in parts)
         if size > m or (constraint == "eq" and size != m):
             continue
-        if caps is None:
-            value = fn(subset)
-            candidate: object = subset
-        else:
-            parts = tuple(cap & subset for cap in caps)
-            value = fn(parts)
-            candidate = parts
+        candidate = pick(parts)
+        value = fn(candidate)
         if value > best_value:
             best, best_value = candidate, value
     if best is None:

@@ -23,9 +23,9 @@ import mcselect.functionals as fn
 from helpers_naive import random_product_chain, random_reversible_chain
 from mcselect.chain_core import (
     Distribution,
+    EdgeMeasure,
     SubsetMask,
     marginalize,
-    project_keep_in,
     stationary_distribution,
     tensor,
     tensor_dist,
@@ -227,7 +227,7 @@ class TestCriterion3Properties:
         for i in range(25):
             P, pi = random_reversible_chain(rng, (2, 2, 2, 2))
             blocks = (SubsetMask.of(4, (0, 2)), SubsetMask.of(4, (1, 3)))
-            projected = [project_keep_in(P, pi, S) for S in blocks]
+            projected = [EdgeMeasure(P, pi).keep_in(S) for S in blocks]
             marginals = [marginalize(pi, S) for S in blocks]
             prod_chain = tensor(projected)
             prod_pi = tensor_dist(marginals)
@@ -249,7 +249,7 @@ class TestCriterion3Properties:
             for bits in range(16):
                 S = SubsetMask(bits, 4)
                 proj = fn.kl_rate(
-                    project_keep_in(P, ref, S), project_keep_in(L, ref, S),
+                    EdgeMeasure(P, ref).keep_in(S), EdgeMeasure(L, ref).keep_in(S),
                     marginalize(ref, S),
                 ).value
                 if proj > full_kl + TOL_IDENT:

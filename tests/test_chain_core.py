@@ -24,8 +24,6 @@ from mcselect.chain_core import (
     ValidationError,
     marginalize,
     matrix_power,
-    project_keep_in,
-    project_leave_out,
     stationary_distribution,
     tensor,
     tensor_dist,
@@ -207,56 +205,45 @@ class TestMarginalize:
 class TestProjection:
     def test_full_keep_returns_same_object(self, rng):
         P, pi = random_chain(rng, (2, 2))
-        assert project_keep_in(P, pi, SubsetMask.full(2)) is P
+        assert EdgeMeasure(P, pi).keep_in(SubsetMask.full(2)) is P
+        out = EdgeMeasure(P, pi).keep_in(SubsetMask.empty(2))
+        assert out.space.total == 1 and np.allclose(out.rows, [[1.0]])
 
     def test_product_chain_projects_to_factor(self, rng):
         M1, mu1 = random_reversible_chain(rng, (2,))
         M2, mu2 = random_reversible_chain(rng, (3,))
         P = tensor([M1, M2])
         pi = tensor_dist([mu1, mu2])
-        got = project_keep_in(P, pi, SubsetMask.of(2, (0,)))
+        got = EdgeMeasure(P, pi).keep_in(SubsetMask.of(2, (0,)))
         assert np.allclose(got.rows, M1.rows, atol=1e-12)
 
     def test_keep_in_against_brute_force(self, rng):
         P, pi = random_chain(rng, (2, 2))
-        got = project_keep_in(P, pi, SubsetMask.of(2, (0,)))
+        got = EdgeMeasure(P, pi).keep_in(SubsetMask.of(2, (0,)))
         want = naive_keep_in(P.rows.tolist(), pi.probs.tolist(), (2, 2), (0,))
         assert np.allclose(got.rows, want, atol=1e-13)
 
     def test_keep_in_rows_stochastic(self, rng):
         P, pi = random_chain(rng, (2, 3, 2))
+        edge = EdgeMeasure(P, pi)
         for mask_bits in range(8):
-            S = SubsetMask(mask_bits, 3)
-            validate(project_keep_in(P, pi, S))
-
-    def test_leave_out_conventions(self, rng):
-        P, pi = random_chain(rng, (2, 2, 2))
-        assert project_leave_out(P, pi, SubsetMask.empty(3)) is P
-        out = project_leave_out(P, pi, SubsetMask.full(3))
-        assert out.space.total == 1 and np.allclose(out.rows, [[1.0]])
-
-    def test_leave_out_equals_keep_in_complement(self, rng):
-        P, pi = random_chain(rng, (2, 2, 2))
-        S = SubsetMask.of(3, (1,))
-        left = project_leave_out(P, pi, S)
-        right = project_keep_in(P, pi, SubsetMask.of(3, (0, 2)))
-        assert np.allclose(left.rows, right.rows, atol=1e-15)
+            validate(edge.keep_in(SubsetMask(mask_bits, 3)))
 
     def test_projection_tower(self, rng):
         P, pi = random_chain(rng, (2, 2, 3))
         T = SubsetMask.of(3, (0, 2))
         S = SubsetMask.of(3, (2,))
-        P_T = project_keep_in(P, pi, T)
+        P_T = EdgeMeasure(P, pi).keep_in(T)
         pi_T = marginalize(pi, T)
-        two_step = project_keep_in(P_T, pi_T, S.relabel_within(T))
-        one_step = project_keep_in(P, pi, S)
+        two_step = EdgeMeasure(P_T, pi_T).keep_in(S.relabel_within(T))
+        one_step = EdgeMeasure(P, pi).keep_in(S)
         assert np.abs(two_step.rows - one_step.rows).max() <= 1e-10
 
     def test_stationarity_inherited(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2, 2))
         for bits in range(1, 8):
             S = SubsetMask(bits, 3)
-            P_S = project_keep_in(P, pi, S)
+            P_S = EdgeMeasure(P, pi).keep_in(S)
             pi_S = marginalize(pi, S)
             assert np.abs(pi_S.probs @ P_S.rows - pi_S.probs).sum() <= 1e-10
 
@@ -302,7 +289,7 @@ class TestTensor:
         P = tensor([f[0] for f in factors])
         pi = tensor_dist([f[1] for f in factors])
         S = SubsetMask.of(3, (0, 2))
-        got = project_keep_in(P, pi, S)
+        got = EdgeMeasure(P, pi).keep_in(S)
         want = tensor([factors[0][0], factors[2][0]])
         assert np.abs(got.rows - want.rows).max() <= 1e-12
 
@@ -336,7 +323,6 @@ class TestEdgeMeasure:
         P, pi = random_chain(rng, (2, 3))
         em = EdgeMeasure(P, pi)
         assert em.keep_in(SubsetMask.full(2)) is P
-        assert project_keep_in(P, pi, SubsetMask.full(2)) is P
 
     def test_keep_in_against_naive(self, rng):
         dims = (2, 3, 2)
@@ -521,7 +507,7 @@ class TestPartitionLemma:
             full = kl_rate(P, L, pi).value
             for bits in range(4):
                 S = SubsetMask(bits, 2)
-                P_S = project_keep_in(P, pi, S)
-                L_S = project_keep_in(L, pi, S)
+                P_S = EdgeMeasure(P, pi).keep_in(S)
+                L_S = EdgeMeasure(L, pi).keep_in(S)
                 pi_S = marginalize(pi, S)
                 assert kl_rate(P_S, L_S, pi_S).value <= full + 1e-10

@@ -149,6 +149,14 @@ class TestSelect:
         if "--oracle" in args:
             assert "--oracle" in result.output
 
+    def test_local_search_ends_on_a_non_positive_objective(self):
+        # f = -D(P_{U-S} || independence) <= 0; the factor rule cycled on it
+        result = CliRunner().invoke(main, ["select", "--problem", "dist2indp-complement",
+                                           "--algorithm", "local-search", "--d", "5"])
+        assert result.exit_code == 0, result.output
+        (row,) = parse_csv(result.output)
+        assert float(row["value"]) == 0.0
+
     def test_drift_is_model_error(self, monkeypatch):
         from mcselect import objectives
 
@@ -354,8 +362,7 @@ class TestMcmc:
         the sampled distances equal those of np.kron's tensor product with
         its axes transposed back to the chain's coordinate order."""
         from helpers_naive import random_reversible_chain
-        from mcselect.chain_core import (
-            SubsetMask, matrix_power, project_keep_in, tensor)
+        from mcselect.chain_core import EdgeMeasure, SubsetMask, matrix_power, tensor
 
         P, pi = random_reversible_chain(rng, dims)
         d, n, n_max, samples, seed = len(dims), P.space.total, 3, 400, 5
@@ -369,8 +376,8 @@ class TestMcmc:
         for split in range(d):
             study = mcmc_study((P, pi), n_max=n_max, split=split, samples=samples, seed=seed)
             keep = SubsetMask.of(d, (split,)).complement()
-            factors = [project_keep_in(P, pi, keep),
-                       project_keep_in(P, pi, SubsetMask.of(d, (split,)))]
+            edge = EdgeMeasure(P, pi)
+            factors = [edge.keep_in(keep), edge.keep_in(SubsetMask.of(d, (split,)))]
             perm = keep.indices() + (split,)
             powered = realigned([matrix_power(F, n_max) for F in factors], perm)
             want = float(np.abs(powered - pi.probs[None, :]).sum(axis=1).max() / 2.0)
@@ -449,6 +456,22 @@ class TestHostileInput:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 3
         assert "entry (0, 1) = nan is not finite" in result.output
+        assert "ok" not in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "select"])
+    def test_reducible_chain_with_stored_pi_is_model_error(self, tmp_path, command):
+        # two closed classes {0, 1} and {2, 3}; the uniform pi is stationary
+        block = [[0.5, 0.5], [0.5, 0.5]]
+        rows = np.kron(np.eye(2), block).tolist()
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps({"d": 2, "dims": [2, 2], "transition": rows,
+                                    "stationary": [0.25] * 4}))
+        args = ["validate", str(path)] if command == "validate" else [
+            "select", "--problem", "entropy", "--model", "file", "--chain-file", str(path),
+            "--m", "1"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3
+        assert "chain is not irreducible: state 2 unreachable from state 0" in result.output
         assert "ok" not in result.output
 
     @pytest.mark.parametrize("command", ["validate", "select"])

@@ -23,7 +23,6 @@ from mcselect.chain_core import (
     TransitionMatrix,
     ValidationError,
     marginalize,
-    project_keep_in,
     tensor,
     tensor_dist,
 )
@@ -218,7 +217,7 @@ class TestDistanceToStationarity:
             if S.size == 0:
                 continue
             pi_S = marginalize(pi, S)
-            P_S = project_keep_in(P, pi, S)
+            P_S = EdgeMeasure(P, pi).keep_in(S)
             want = shannon_entropy(pi_S) - entropy_rate(P_S, pi_S, stationarity_tol=1e-6)
             got = distance_to_stationarity(P, pi, S)
             assert abs(got - want) <= 1e-10

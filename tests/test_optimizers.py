@@ -237,6 +237,16 @@ class TestLocalSearch:
         with pytest.raises(ValidationError):
             local_search(lambda S: 0.0, SubsetMask.full(2), 0.0)
 
+    @pytest.mark.parametrize("f, scores", [
+        (lambda S: min(S.size - 3, 0) - 1.0, [-3.0, -2.0, -1.0]),  # negative, flat from |S|=3
+        (lambda S: 0.0, [0.0]),  # zero plateau
+    ], ids=["non-positive", "zero-plateau"])
+    def test_non_positive_objective_ends_strictly_increasing(self, f, scores):
+        # the factor rule would accept equal (or worse) sets here and cycle
+        result = local_search(f, SubsetMask.full(5), 0.1, max_steps=1000)
+        assert [step.score for step in result.trajectory] == scores
+        assert result.objective_value == scores[-1]
+
 
 class TestBatchGreedy:
     def test_curie_weiss_dist2stat_goldens(self, cw10, cw10_ws):

@@ -1,6 +1,11 @@
 """Property tests over random small chains: every catalog entry, on every
 feasible candidate, satisfies f = g - c - shift exactly and agrees with its
-direct evaluation within the drift tolerance the command line enforces."""
+direct evaluation within the drift tolerance the command line enforces; the
+g of every entry that carries a guarantee passes the exhaustive oracle, and
+the distorted greedy runs meet their certificate.  Over random set
+functions, every failing oracle clause reports its first violation."""
+
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,6 +23,13 @@ from mcselect.objectives import (
     build_partition_objective,
     build_subset_objective,
     is_product_form,
+)
+from mcselect.optimizers import certify, distorted_greedy, generalized_distorted_greedy
+from mcselect.oracle import (
+    SUBMODULARITY_TOL,
+    check_k_submodular,
+    check_monotone,
+    check_submodular,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -88,3 +100,124 @@ def test_every_partition_entry_identities(chain):
         for block_order in variants(problem_id, product):
             assert_identities(build_partition_objective(
                 problem_id, P, pi, caps, heuristic=True, block_order=block_order, workspace=ws))
+
+
+def guaranteed(P, pi, caps, ws):
+    """The decompositions whose g carries the (k-)submodularity guarantee on
+    this chain: no raw dist2stat target, no dist2fact-fixed, no block order,
+    and product-form rows only on product-form chains."""
+    product = is_product_form(pi)
+    for problem_id in SUBSET_PROBLEMS:
+        row = SUBSET_ROWS[problem_id]
+        if problem_id not in ("dist2stat", "dist2fact-fixed") and (
+                product or CRITERIA[row].product_form is None):
+            yield build_subset_objective(problem_id, P, pi, workspace=ws)
+    for problem_id in PARTITION_PROBLEMS:
+        if product or CRITERIA[problem_id].product_form is None:
+            yield build_partition_objective(problem_id, P, pi, caps, workspace=ws)
+
+
+@PROPERTY_SETTINGS
+@given(chains_with_ceiling())
+def test_every_guaranteed_g_passes_the_oracle(chain):
+    P, pi, caps = chain
+    for dec in guaranteed(P, pi, caps, Workspace(P, pi)):
+        if dec.kind == "subset":
+            assert check_monotone(dec.g, dec.ground).passed, dec.problem_id
+            assert check_submodular(dec.g, dec.ground).passed, dec.problem_id
+        else:
+            report = check_k_submodular(dec.g, dec.ground, len(caps), ceiling=caps)
+            assert report.lattice.passed and report.orthant.passed, dec.problem_id
+
+
+@PROPERTY_SETTINGS
+@given(chains_with_ceiling())
+def test_distorted_runs_meet_their_certificate(chain):
+    P, pi, caps = chain
+    for dec in guaranteed(P, pi, caps, Workspace(P, pi)):
+        search = distorted_greedy if dec.kind == "subset" else generalized_distorted_greedy
+        for m in range(dec.ground.size + 1):
+            try:
+                dec.validate_m(m)
+            except ValidationError:
+                continue
+            assert certify(dec, m, search(dec, m)).satisfied, (dec.problem_id, m)
+
+
+@st.composite
+def tables(draw):
+    """A set function on k-tuples of disjoint parts of d elements: small
+    integer values, so that some clauses pass and some fail."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = draw(st.lists(st.integers(-2, 2), min_size=(k + 1) ** d, max_size=(k + 1) ** d))
+    # element e in slot j (label j + 1) or in none (label 0), e least significant
+    code = lambda parts: sum(j * (k + 1) ** e for j, part in enumerate(parts, 1) for e in part)
+    return d, k, lambda parts: float(values[code(parts)])
+
+
+def _grown(parts, i, e):
+    return parts[:i] + (parts[i].add(e),) + parts[i + 1:]
+
+
+def scans(d, k, F):
+    """Each clause's (slack, witness) pairs in the order the oracle scans."""
+    ground = SubsetMask.full(d)
+    f = lambda S: F((S,))
+    subsets = list(ground.subsets())
+    tuples = [tuple(SubsetMask.of(d, (e for e in range(d) if labels[e] == j + 1))
+                    for j in range(k))
+              for labels in itertools.product(range(k + 1), repeat=d)]
+    union = lambda parts: SubsetMask.of(d, (e for part in parts for e in part))
+
+    def meet(S, T):
+        return tuple(a & b for a, b in zip(S, T))
+
+    def join(S, T):
+        unions = [a | b for a, b in zip(S, T)]
+        return tuple(SubsetMask.of(d, (e for e in u if sum(e in w for w in unions) == 1))
+                     for u in unions)
+
+    def orthant():
+        for T in tuples:
+            assigned = [(j, e) for j, part in enumerate(T) for e in part]
+            for keep in itertools.product((False, True), repeat=len(assigned)):
+                kept = [a for a, flag in zip(assigned, reversed(keep)) if flag]
+                S = tuple(SubsetMask.of(d, (e for j, e in kept if j == i)) for i in range(k))
+                for e in ground - union(T):
+                    for i in range(k):
+                        gain_s = F(_grown(S, i, e)) - F(S)
+                        gain_t = F(_grown(T, i, e)) - F(T)
+                        yield gain_s - gain_t, (S, T, i, e)
+
+    def pairwise():
+        for S in tuples:
+            for e in ground - union(S):
+                for i, j in itertools.combinations(range(k), 2):
+                    yield (F(_grown(S, i, e)) - F(S)) + (F(_grown(S, j, e)) - F(S)), (S, e, i, j)
+
+    report = check_k_submodular(F, ground, k)
+    return {
+        "submodular": (check_submodular(f, ground), (
+            (f(S) + f(T) - f(S | T) - f(S & T), (S, T))
+            for S, T in itertools.combinations_with_replacement(subsets, 2))),
+        "monotone": (check_monotone(f, ground), (
+            (f(S.add(e)) - f(S), (S, e)) for S in subsets for e in ground - S)),
+        "lattice": (report.lattice, (
+            (F(S) + F(T) - F(meet(S, T)) - F(join(S, T)), (S, T))
+            for S, T in itertools.combinations_with_replacement(tuples, 2))),
+        "orthant": (report.orthant, orthant()),
+        "pairwise": (report.pairwise_monotone, pairwise()),
+    }
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(tables())
+def test_failing_clause_reports_its_first_violation(table):
+    for clause, (report, scan) in scans(*table).items():
+        first = next(((slack, w) for slack, w in scan if slack < -SUBMODULARITY_TOL), None)
+        if first is None:
+            assert report.passed, clause
+        else:
+            # the margin is the slack recomputed at the first violating witness
+            assert not report.passed, clause
+            assert (report.margin, report.witness) == first, clause

@@ -532,20 +532,9 @@ def matrix_power(P: TransitionMatrix, n: int) -> TransitionMatrix:
     return out
 
 
-def worst_case_tv(
-    P: TransitionMatrix, ref: Distribution | TransitionMatrix | np.ndarray, n: int
-) -> float:
-    """max over rows x of the total variation distance between P^n(x, .) and
-    the reference (a single distribution, or one distribution per row)."""
-    rows_n = matrix_power(P, n).rows
-    if isinstance(ref, Distribution):
-        target = ref.probs[None, :]
-    elif isinstance(ref, TransitionMatrix):
-        target = ref.rows
-    else:
-        target = np.asarray(ref, dtype=float)
-        if target.ndim == 1:
-            target = target[None, :]
-    if target.shape[-1] != rows_n.shape[1]:
+def worst_case_tv(P: TransitionMatrix, pi: Distribution, n: int) -> float:
+    """max over rows x of the total variation distance between P^n(x, .)
+    and pi."""
+    if pi.space.total != P.space.total:
         raise ValidationError("reference size does not match the state space")
-    return float(np.abs(rows_n - target).sum(axis=1).max() / 2.0)
+    return float(np.abs(matrix_power(P, n).rows - pi.probs[None, :]).sum(axis=1).max() / 2.0)

@@ -25,6 +25,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import click
 import numpy as np
@@ -51,18 +52,17 @@ EXIT_GUARD = 4
 
 DRIFT_TOL = 1e-9
 
-# algorithm -> (the problem kind it searches, run(dec, m, epsilon, batch_spec))
+# algorithm -> (the problem kind it searches, run(dec, m, epsilon, batch_plan))
 ALGORITHMS = {
-    "greedy": ("subset", lambda dec, m, epsilon, batch_spec: optimizers.greedy(
+    "greedy": ("subset", lambda dec, m, epsilon, plan: optimizers.greedy(
         dec.f, dec.ground, m, dec.constraint)),
-    "distorted": ("subset", lambda dec, m, epsilon, batch_spec: optimizers.distorted_greedy(
-        dec, m)),
-    "gen-distorted": ("partition", lambda dec, m, epsilon, batch_spec: (
+    "distorted": ("subset", lambda dec, m, epsilon, plan: optimizers.distorted_greedy(dec, m)),
+    "gen-distorted": ("partition", lambda dec, m, epsilon, plan: (
         optimizers.generalized_distorted_greedy(dec, m))),
-    "local-search": ("subset", lambda dec, m, epsilon, batch_spec: optimizers.local_search(
+    "local-search": ("subset", lambda dec, m, epsilon, plan: optimizers.local_search(
         dec.f, dec.ground, epsilon)),
-    "batch": ("subset", lambda dec, m, epsilon, batch_spec: optimizers.batch_greedy(
-        dec.f, dec.ground, m, _batch_plan(batch_spec, m))),
+    "batch": ("subset", lambda dec, m, epsilon, plan: optimizers.batch_greedy(
+        dec.f, dec.ground, m, plan)),
 }
 
 
@@ -119,18 +119,40 @@ def _batch_plan(spec: str, m: int) -> list[int]:
     return sizes
 
 
-def check_pairing(dec: objectives.ObjectiveDecomposition, algorithm: str) -> None:
-    """Refuse an algorithm that cannot search this catalog entry."""
+def _plan(dec: objectives.ObjectiveDecomposition, algorithm: str, ms: Sequence[int],
+          epsilon: float, batch_spec: str, oracle: bool) -> list[tuple[int, list[int] | None]]:
+    """Check every flag of a sweep before its first search and return the
+    (m, batch plan) of each row.  Local search takes no budget: one row,
+    labelled with the first m, and no entry with an exact cardinality."""
     kind = ALGORITHMS[algorithm][0]
     if dec.kind != kind:
         raise click.UsageError(
             f"--algorithm {algorithm} applies to {kind} problems, not {dec.problem_id}")
+    if algorithm == "local-search" and dec.constraint == "eq":
+        raise click.UsageError(
+            f"--algorithm local-search takes no cardinality, but {dec.problem_id} "
+            "needs exactly m coordinates")
     if algorithm == "batch":
         base = dec.f(dec.empty_solution())
         if abs(base) > 1e-9:
             raise click.UsageError(
                 f"--algorithm batch needs f(empty) = 0, but {dec.problem_id} has "
                 f"f(empty) = {base!r}")
+    if not ms:
+        shown = f"{ms.start}..{ms.stop - 1}" if isinstance(ms, range) else "[]"
+        raise click.UsageError(f"empty m range {shown}")
+    if algorithm == "local-search":
+        if epsilon <= 0:
+            raise click.UsageError("--epsilon must be positive")
+        if oracle and ms[0] < 0:  # the certificate's brute force takes |S| <= m
+            raise click.UsageError("cardinality constraint must be non-negative")
+        return [(ms[0], None)]
+    try:
+        for m in ms:
+            dec.validate_m(m)
+    except ValidationError as err:
+        raise click.UsageError(str(err)) from err
+    return [(m, _batch_plan(batch_spec, m) if algorithm == "batch" else None) for m in ms]
 
 
 @contextmanager
@@ -222,7 +244,7 @@ class SelectionRow:
 def run_selection(
     dec: objectives.ObjectiveDecomposition,
     algorithm: str,
-    ms: list[int],
+    ms: Sequence[int],
     *,
     epsilon: float = 0.1,
     batch_spec: str = "ones",
@@ -230,15 +252,15 @@ def run_selection(
 ) -> list[SelectionRow]:
     """Run one algorithm over a range of cardinalities against one catalog
     entry, re-evaluating every reported value through the direct functional
-    definitions (never the optimizer's incremental bookkeeping)."""
+    definitions (never the optimizer's incremental bookkeeping).  Every
+    flag is checked, as a usage error, before the first search runs."""
     if algorithm not in ALGORITHMS:
         raise click.UsageError(f"unknown algorithm {algorithm!r}")
     search = ALGORITHMS[algorithm][1]
     rows: list[SelectionRow] = []
-    for m in ms:
-        dec.validate_m(m)
+    for m, plan in _plan(dec, algorithm, ms, epsilon, batch_spec, oracle):
         start = time.perf_counter()
-        result = search(dec, m, epsilon, batch_spec)
+        result = search(dec, m, epsilon, plan)
         if oracle:
             result = result.with_certificate(optimizers.certify(dec, m, result))
         elapsed = time.perf_counter() - start
@@ -253,8 +275,6 @@ def run_selection(
                 f"cached evaluation at m={m}"
             )
         rows.append(SelectionRow(m, chosen, direct, elapsed, result.trajectory, result.certificate))
-        if algorithm == "local-search":
-            break  # cardinality-free: a single row
     return rows
 
 
@@ -327,7 +347,7 @@ def _step(cumulative: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarr
 
 
 def mcmc_study(
-    chain: tuple[TransitionMatrix, Distribution] | models.CurieWeissParams,
+    chain: tuple[TransitionMatrix, Distribution],
     n_max: int = 10,
     split: int | None = None,
     samples: int = 0,
@@ -341,10 +361,7 @@ def mcmc_study(
     and the factorized kernel (P_-i*)^n x (P_i*)^n is compared against the
     full stationary law at n = n_max.
     """
-    if isinstance(chain, models.CurieWeissParams):
-        P, pi = models.curie_weiss_chain(chain)
-    else:
-        P, pi = chain
+    P, pi = chain
     d = P.space.d
     edge = EdgeMeasure(P, pi)
     functionals.assert_stationary(P, pi)
@@ -435,14 +452,12 @@ def main() -> None:
                    "in block order (selected blocks first, remainder last) instead "
                    "of realigning it to the original coordinate order.")
 @click.option("--oracle", is_flag=True, help="Attach brute-force bound certificates.")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="CSV output path (default stdout).")
 @click.option("--svg", type=click.Path(), default=None, help="Optional SVG chart path.")
 def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, m_max,
                ceiling_spec, fixed_spec, beta, epsilon, batch_sizes, heuristic, block_order,
-               oracle, seed, out, svg) -> None:
+               oracle, out, svg) -> None:
     """Select coordinate subsets or partitions over a range of budgets."""
-    del seed  # selection is deterministic; accepted for interface symmetry
     if oracle and out is None:
         raise click.UsageError("--oracle needs --out: the certificates go to a JSON "
                                "file beside the CSV")
@@ -464,17 +479,7 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
             dec = objectives.build_subset_objective(
                 problem, P, pi, beta=beta, heuristic=heuristic, block_order=block_order)
 
-        check_pairing(dec, algorithm)
-        ms = list(range(m, (m_max if m_max is not None else m) + 1))
-        if not ms:
-            raise click.UsageError(f"empty m range {m}..{m_max}")
-        if algorithm == "local-search" and epsilon <= 0:
-            raise click.UsageError("--epsilon must be positive")
-        try:
-            for budget in ms:
-                dec.validate_m(budget)
-        except ValidationError as err:
-            raise click.UsageError(str(err)) from err
+        ms = range(m, (m_max if m_max is not None else m) + 1)
         rows = run_selection(dec, algorithm, ms, epsilon=epsilon,
                              batch_spec=batch_sizes, oracle=oracle)
 
@@ -511,8 +516,8 @@ def cmd_mcmc(d, temperature, field, n_max, split, samples, seed, out, json_out, 
     if samples < 0:
         raise click.UsageError(f"--samples must be >= 0, got {samples}")
     with exit_codes():
-        params = models.CurieWeissParams(d=d, T=temperature, h=field)
-        study = mcmc_study(params, n_max=n_max,
+        chain = models.curie_weiss_chain(models.CurieWeissParams(d=d, T=temperature, h=field))
+        study = mcmc_study(chain, n_max=n_max,
                            split=None if split is None else split - 1,
                            samples=samples, seed=seed)
         _write_text(out, mixing_csv(study))

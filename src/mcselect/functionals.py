@@ -203,15 +203,10 @@ def distance_to_independence(P: TransitionMatrix, pi: Distribution, S: SubsetMas
     return kl_to_blocks(EdgeMeasure(P, pi), [SubsetMask.of(S.d, (i,)) for i in S])
 
 
-def distance_to_factorizability(
-    P: TransitionMatrix,
-    pi: Distribution,
-    S: SubsetMask,
-    stationarity_tol: float = STATIONARITY_TOL,
-) -> float:
+def distance_to_factorizability(P: TransitionMatrix, pi: Distribution, S: SubsetMask) -> float:
     """D(P || P_S tensor P_-S): the information lost by splitting the
     coordinates into the two independent blocks S and its complement."""
-    assert_stationary(P, pi, stationarity_tol)
+    assert_stationary(P, pi)
     return kl_to_blocks(EdgeMeasure(P, pi), (S, S.complement()))
 
 
@@ -221,26 +216,17 @@ def stationary_kernel(pi: Distribution) -> TransitionMatrix:
     return TransitionMatrix(pi.space, np.tile(pi.probs, (n, 1)))
 
 
-def distance_to_stationarity(
-    P: TransitionMatrix,
-    pi: Distribution,
-    S: SubsetMask,
-    stationarity_tol: float = STATIONARITY_TOL,
-) -> float:
+def distance_to_stationarity(P: TransitionMatrix, pi: Distribution, S: SubsetMask) -> float:
     """D(P_S || Pi_S) where Pi_S has every row equal to pi_S."""
-    assert_stationary(P, pi, stationarity_tol)
+    assert_stationary(P, pi)
     return kl_to_stationary(EdgeMeasure(P, pi), S)
 
 
 def distance_to_factorizability_fixed(
-    P: TransitionMatrix,
-    pi: Distribution,
-    W: SubsetMask,
-    S: SubsetMask,
-    stationarity_tol: float = STATIONARITY_TOL,
+    P: TransitionMatrix, pi: Distribution, W: SubsetMask, S: SubsetMask
 ) -> float:
     """D(P_{W u S} || P_W tensor P_S) for disjoint W and S."""
     if not W.isdisjoint(S):
         raise ValidationError("W and S must be disjoint")
-    assert_stationary(P, pi, stationarity_tol)
+    assert_stationary(P, pi)
     return kl_to_blocks(EdgeMeasure(P, pi), (W, S))

@@ -117,9 +117,9 @@ class Workspace:
     chain's one :class:`EdgeMeasure`, which the direct evaluations share.
     """
 
-    def __init__(self, P: TransitionMatrix, pi: Distribution, stationarity_tol: float = 1e-8):
+    def __init__(self, P: TransitionMatrix, pi: Distribution):
         self.edge = EdgeMeasure(P, pi)
-        assert_stationary(P, pi, stationarity_tol)
+        assert_stationary(P, pi)
         self.pi = pi
         self.space = P.space
         self.d = P.space.d
@@ -445,7 +445,6 @@ def _build(
     beta: float | None,
     heuristic: bool,
     block_order: bool,
-    m: int | None,
 ) -> ObjectiveDecomposition:
     """Read one catalog row on the ceiling ``caps``: the partition problem
     itself, or for a subset problem its one-part view keyed by element."""
@@ -492,7 +491,7 @@ def _build(
         )
 
     k = len(caps)
-    dec = ObjectiveDecomposition(
+    return ObjectiveDecomposition(
         problem_id=problem_id,
         kind=kind,
         constraint=row.constraint,
@@ -510,9 +509,6 @@ def _build(
         notes=notes,
         workspace=ws,
     )
-    if m is not None:
-        dec.validate_m(m)
-    return dec
 
 
 def build_subset_objective(
@@ -524,15 +520,13 @@ def build_subset_objective(
     W: SubsetMask | None = None,
     heuristic: bool = False,
     block_order: bool = False,
-    m: int | None = None,
-    stationarity_tol: float = 1e-8,
     workspace: Workspace | None = None,
 ) -> ObjectiveDecomposition:
     if problem_id not in SUBSET_PROBLEMS:
         raise ValidationError(f"unknown subset problem id {problem_id!r}")
     if block_order and not CRITERIA[SUBSET_ROWS[problem_id]].block_order:
         raise ValidationError("block_order applies only to dist2fact")
-    ws = workspace if workspace is not None else Workspace(P, pi, stationarity_tol)
+    ws = workspace if workspace is not None else Workspace(P, pi)
     ground = ws.full()
     if problem_id == "dist2fact-fixed":
         if W is None:
@@ -541,7 +535,7 @@ def build_subset_objective(
             raise ValidationError("W lives in the wrong universe")
         ground = W.complement()
     return _build(problem_id, "subset", ws, (ground,), beta=beta, heuristic=heuristic,
-                  block_order=block_order, m=m)
+                  block_order=block_order)
 
 
 def build_partition_objective(
@@ -553,8 +547,6 @@ def build_partition_objective(
     beta: float | None = None,
     heuristic: bool = False,
     block_order: bool = False,
-    m: int | None = None,
-    stationarity_tol: float = 1e-8,
     workspace: Workspace | None = None,
 ) -> ObjectiveDecomposition:
     if problem_id not in PARTITION_PROBLEMS:
@@ -563,8 +555,8 @@ def build_partition_objective(
         raise ValidationError("block_order applies only to k-dist2fact")
     caps: Parts = tuple(V.parts if isinstance(V, Partition) else V)
     Partition(caps)  # checks pairwise disjointness
-    ws = workspace if workspace is not None else Workspace(P, pi, stationarity_tol)
+    ws = workspace if workspace is not None else Workspace(P, pi)
     if caps[0].d != ws.d:
         raise ValidationError("ceiling lives in the wrong universe")
     return _build(problem_id, "partition", ws, caps, beta=beta, heuristic=heuristic,
-                  block_order=block_order, m=m)
+                  block_order=block_order)

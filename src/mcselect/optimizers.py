@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 from .chain_core import GuardError, SubsetMask, ValidationError
 from .objectives import ObjectiveDecomposition, Partition, Parts, parts_below, union_of
 
-BRUTE_FORCE_CAP = 1 << 24
 CERT_SLACK = 1e-9
 
 

@@ -177,7 +177,7 @@ class TestCriterion1CurieWeissGoldens:
 class TestCriterion2Mixing:
     def test_leave_one_out_study(self):
         start = time.perf_counter()
-        study = mcmc_study(CurieWeissParams(8, 10.0, 1.0), n_max=10)
+        study = mcmc_study(curie_weiss_chain(CurieWeissParams(8, 10.0, 1.0)), n_max=10)
         elapsed = time.perf_counter() - start
         ok_star = study.i_star + 1 == 4
         ok_orig = abs(study.tv_original - 0.22) <= TOL_TV

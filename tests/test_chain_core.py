@@ -489,13 +489,6 @@ class TestWorstCaseTV:
         P, pi = cw8
         assert abs(worst_case_tv(P, pi, 10) - 0.22) <= 0.005
 
-    def test_per_row_reference_matrix(self, rng):
-        P, pi = random_chain(rng, (2, 2))
-        # a per-row reference equal to P^3 itself has distance zero at n=3
-        ref = matrix_power(P, 3)
-        assert worst_case_tv(P, ref, 3) <= 1e-15
-        assert worst_case_tv(P, ref.rows, 3) <= 1e-15
-
 
 class TestPartitionLemma:
     def test_projection_never_increases_kl(self, rng):

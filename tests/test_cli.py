@@ -24,6 +24,11 @@ PAIRING_ERRORS = [
     ["--problem", "entropy", "--algorithm", "gen-distorted", "--m", "1"],
     ["--problem", "dist2indp-complement", "--algorithm", "batch", "--m", "1"],  # f(empty) != 0
     ["--problem", "dist2stat-complement", "--algorithm", "batch", "--heuristic", "--m", "1"],
+    # local search takes no cardinality, so it cannot meet an exact one
+    ["--problem", "dist2indp", "--algorithm", "local-search"],
+    ["--problem", "dist2stat", "--algorithm", "local-search"],
+    ["--problem", "dist2stat-product", "--algorithm", "local-search", "--heuristic"],
+    ["--problem", "dist2fact-fixed", "--algorithm", "local-search", "--W", "1"],
 ]
 
 
@@ -156,6 +161,34 @@ class TestSelect:
         assert result.exit_code == 0, result.output
         (row,) = parse_csv(result.output)
         assert float(row["value"]) == 0.0
+
+    def test_local_search_ignores_the_budget(self):
+        # m = 5 lies past the ground set and past d - 2, but local search has no budget
+        result = CliRunner().invoke(main, ["select", "--problem", "dist2indp-complement",
+                                           "--algorithm", "local-search", "--d", "3",
+                                           "--m", "5"])
+        assert result.exit_code == 0, result.output
+        assert len(parse_csv(result.output)) == 1
+
+    def test_select_has_no_seed(self):
+        result = CliRunner().invoke(main, ["select", "--problem", "entropy", "--d", "4",
+                                           "--seed", "1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+
+    def test_flags_are_checked_before_the_first_search(self, monkeypatch, cw4):
+        import click
+
+        from mcselect import cli, objectives, optimizers
+
+        calls = []
+        greedy = optimizers.greedy
+        monkeypatch.setattr(optimizers, "greedy", lambda *args: calls.append(args) or greedy(*args))
+        P, pi = cw4
+        dec = objectives.build_subset_objective("entropy", P, pi)
+        with pytest.raises(click.UsageError, match="m=9 exceeds"):
+            cli.run_selection(dec, "greedy", [1, 9])
+        assert calls == []
 
     def test_drift_is_model_error(self, monkeypatch):
         from mcselect import objectives
@@ -327,12 +360,13 @@ class TestMcmc:
         assert abs(study.tv_factorized - gap) <= 1e-12
 
     def test_seeded_samples_deterministic(self):
-        from mcselect.models import CurieWeissParams
+        from mcselect.models import CurieWeissParams, curie_weiss_chain
 
-        a = mcmc_study(CurieWeissParams(4, 10.0, 1.0), n_max=3, samples=50, seed=7)
-        b = mcmc_study(CurieWeissParams(4, 10.0, 1.0), n_max=3, samples=50, seed=7)
+        chain = curie_weiss_chain(CurieWeissParams(4, 10.0, 1.0))
+        a = mcmc_study(chain, n_max=3, samples=50, seed=7)
+        b = mcmc_study(chain, n_max=3, samples=50, seed=7)
         assert a.sample_tv == b.sample_tv
-        c = mcmc_study(CurieWeissParams(4, 10.0, 1.0), n_max=3, samples=50, seed=8)
+        c = mcmc_study(chain, n_max=3, samples=50, seed=8)
         assert c.sample_tv != a.sample_tv
 
 

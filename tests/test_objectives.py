@@ -195,14 +195,14 @@ class TestBuildErrors:
     def test_admissibility_bounds(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2, 2, 2))
         with pytest.raises(ValidationError, match="m >= 2"):
-            build_subset_objective("dist2indp", P, pi, m=1)
+            build_subset_objective("dist2indp", P, pi).validate_m(1)
         with pytest.raises(ValidationError, match="m <= 2"):
-            build_subset_objective("dist2indp-complement", P, pi, m=3)
+            build_subset_objective("dist2indp-complement", P, pi).validate_m(3)
         caps = default_caps(4)
         with pytest.raises(ValidationError, match="m >= 3"):
-            build_partition_objective("k-dist2indp", P, pi, caps, m=2)
+            build_partition_objective("k-dist2indp", P, pi, caps).validate_m(2)
         with pytest.raises(ValidationError, match="m <= 1"):
-            build_partition_objective("k-dist2indp-complement", P, pi, caps, m=2)
+            build_partition_objective("k-dist2indp-complement", P, pi, caps).validate_m(2)
 
     def test_overlapping_ceiling_rejected(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ctypes
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +38,12 @@ DENSE_ENTRY_CAP = 1 << 26
 # Weights at or below this count as zero (0 ln 0 = 0 without log underflow).
 TERM_FLOOR = 1e-300
 
+# An edge measure is held as P's non-zeros when they are fewer than one in
+# SPARSE_SHARE of its n^2 entries.  Measured on 2 cores, cube.sum costs 5 to
+# 20 ns per cube entry and the support reduction 60 to 150 ns per non-zero,
+# so they break even at a density between about 1/30 and 1/4.
+SPARSE_SHARE = 8
+
 # mallopt parameter number (glibc malloc.h) and the value it is held at:
 # glibc's own default threshold.
 M_MMAP_THRESHOLD = -3
@@ -48,10 +54,10 @@ def _hold_mmap_threshold() -> None:
     """Keep the C allocator's mmap threshold at 128 KiB.
 
     glibc raises the threshold to the size of every larger block it frees,
-    up to 32 MiB.  Once the first d=10 cube (8 MiB) is freed, later cubes,
-    projections and memo arrays all live in the heap, which gives memory
-    back only from its top, so the peak resident size depends on the order
-    of earlier allocations: 60.6 to 67.3 MiB for the same paper-suite
+    up to 32 MiB.  Once the first dense d=10 cube (8 MiB) is freed, later
+    cubes, projections and memo arrays all live in the heap, which gives
+    memory back only from its top, so the peak resident size depends on the
+    order of earlier allocations: 60.6 to 67.3 MiB for the same paper-suite
     sweeps.  A threshold set by ``mallopt`` stays put: every array of
     128 KiB or more is mapped on its own and returned when freed.  Where
     there is no ``mallopt`` (not glibc or musl) nothing changes.
@@ -291,6 +297,8 @@ class TransitionMatrix:
 
     space: ProductStateSpace
     rows: np.ndarray
+    # set by _require_irreducible once P has passed it
+    _irreducible: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = _frozen(self.rows)
@@ -328,23 +336,35 @@ def validate(P: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> None:
         raise ValidationError(f"row {worst} sums to {sums[worst]!r} (|1 - sum| = {off[worst]:.3e})")
 
 
-def _require_irreducible(rows: np.ndarray) -> None:
+def _reached(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """The states reached from state 0 along the edges src -> dst."""
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        step = np.zeros(n, dtype=bool)
+        step[dst[frontier[src]]] = True
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+def _require_irreducible(P: TransitionMatrix) -> None:
     """Ergodicity detection: every state must be reachable from state 0 and
-    reach state 0 (mutual reachability of all states)."""
-    support = rows > 0.0
-    n = rows.shape[0]
-    for adjacency, direction in ((support, "unreachable from"), (support.T, "cannot reach")):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = adjacency[frontier].any(axis=0) & ~seen
-            seen |= frontier
+    reach state 0 (mutual reachability of all states).  The search walks
+    P's support, O(nnz) a frontier step.  P keeps the verdict, so each
+    matrix is searched once, however many callers ask."""
+    if P._irreducible:
+        return
+    x, y = np.nonzero(P.rows)
+    for src, dst, direction in ((x, y, "unreachable from"), (y, x, "cannot reach")):
+        seen = _reached(src, dst, P.space.total)
         if not seen.all():
             state = int(np.argmin(seen))
             raise ValidationError(
                 f"chain is not irreducible: state {state} {direction} state 0"
             )
+    object.__setattr__(P, "_irreducible", True)
 
 
 def stationary_residual(P: TransitionMatrix, pi: Distribution) -> float:
@@ -368,7 +388,7 @@ def stationary_distribution(
     validate(P)
     n = P.space.total
     rows = P.rows
-    _require_irreducible(rows)
+    _require_irreducible(P)
     v = np.full(n, 1.0 / n)
     for _ in range(max_iters):
         w = v @ rows
@@ -407,27 +427,114 @@ def marginalize(dist: Distribution, mask: SubsetMask) -> Distribution:
     return Distribution(space.subspace(mask), out.reshape(-1))
 
 
+def _nonzeros(mu: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every non-zero entry (x, y) of M in row-major order, with M(x, y) and
+    mu(x) M(x, y) at each."""
+    x, y = np.nonzero(M)
+    m = M[x, y]
+    return x, y, m, mu[x] * m
+
+
+def _above_floor(entries: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    keep = entries[3] > TERM_FLOOR
+    return entries if keep.all() else tuple(arr[keep] for arr in entries)
+
+
 def weighted_support(mu: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, ...]:
     """The entries (x, y) with mu(x) M(x, y) > TERM_FLOOR, in row-major
     order, with M(x, y) and the weight mu(x) M(x, y) at each."""
-    x, y = np.nonzero(M)
-    m = M[x, y]
-    w = mu[x] * m
-    keep = w > TERM_FLOOR
-    return x[keep], y[keep], m[keep], w[keep]
+    return _above_floor(_nonzeros(mu, M))
+
+
+# numpy's float64 add.reduce sums a contiguous run by pairwise summation
+# (Higham, SIAM J. Sci. Comput. 14(4), 1993): a run of at most
+# PAIRWISE_BLOCK entries in PAIRWISE_LANES strided lanes, a longer one split
+# in two at half its length, rounded down to a multiple of the lanes.
+PAIRWISE_LANES = 8
+PAIRWISE_BLOCK = 128
+
+
+def _fold(group: np.ndarray, node: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Add up neighbouring items of the same group and node, in order."""
+    first = np.ones(len(group), dtype=bool)
+    first[1:] = (group[1:] != group[:-1]) | (node[1:] != node[:-1])
+    if first.all():
+        return group, node, val
+    return group[first], node[first], np.bincount(np.cumsum(first) - 1, val)
+
+
+def _pairwise_sums(group: np.ndarray, pos: np.ndarray, w: np.ndarray, run: int) -> np.ndarray:
+    """For each group of entries (``group`` numbers them 0, 1, ... in
+    order), the bits numpy's pairwise summation gives for a run of ``run``
+    entries that are zero except for the group's ``w`` at offsets ``pos``,
+    ascending within the group.
+
+    Every addition of a zero is exact, so only the non-zeros are visited:
+    each is summed into its lane, and the lanes, blocks and halves are then
+    added in numpy's tree, named by heap index (root 1, children 2h and
+    2h + 1).  The tail of the run, ``run % PAIRWISE_LANES`` entries past
+    the last full stride, is added one entry at a time to its block's
+    combined lanes.
+    """
+    if run < PAIRWISE_LANES:
+        return np.bincount(group, w)
+    if len(group) == group[-1] + 1:  # one entry a group
+        return w
+    # descend numpy's halving to each entry's block
+    lo = np.zeros_like(pos)
+    size = np.full_like(pos, run)
+    node = np.ones_like(pos)
+    split = size > PAIRWISE_BLOCK
+    while split.any():
+        half = size // 2
+        half -= half % PAIRWISE_LANES
+        right = split & (pos >= lo + half)
+        lo = lo + right * half
+        size = np.where(right, size - half, np.where(split, half, size))
+        node = np.where(split, 2 * node + right, node)
+        split = size > PAIRWISE_BLOCK
+    tail = pos >= run - run % PAIRWISE_LANES
+    last = int(node[tail][0]) if tail.any() else 0  # the block that holds the tail
+    body = ~tail
+    lane = pos[body] % PAIRWISE_LANES
+    # each lane of each block is one sequential sum: sort the entries into
+    # lanes, keeping their order within a lane
+    order = np.argsort((group[body] * run + lo[body]) * PAIRWISE_LANES + lane, kind="stable")
+    g, node, val = _fold(group[body][order], (node[body] * PAIRWISE_LANES + lane)[order],
+                         w[body][order])
+    # a node at depth k has heap index 2^k or more, every shallower one less
+    top = max(int(node.max(initial=0)), last).bit_length() - 1
+    for level in range(top, -1, -1):
+        if level == last.bit_length() - 1:
+            # numpy adds the tail to the block's combined lanes
+            g = np.concatenate([g, group[tail]])
+            node = np.concatenate([node, np.full(int(tail.sum()), last, dtype=node.dtype)])
+            val = np.concatenate([val, w[tail]])
+            order = np.argsort(g, kind="stable")
+            g, node, val = _fold(g[order], node[order], val[order])
+        if level:
+            node = np.where(node >> level, node >> 1, node)
+            g, node, val = _fold(g, node, val)
+    return val
 
 
 class EdgeMeasure:
     """The edge measure pi(x) P(x, y) of a chain, the one object every
-    projection of the chain is read from.
+    projection of the chain is read from; pi must have full support.
 
-    It is built once, as a read-only cube over ``dims + dims`` (source
-    digits, then target digits), and pi must have full support.  Each mask
-    is reduced from the cube at most once: the reduction's non-zero
-    entries are kept and later projections are rebuilt from them, with the
-    same bits.  The kept entries never take more bytes than the cube; past
-    that, reductions are computed and not kept.  P's support is found
-    once, on first use.
+    Its storage is picked once, from P's density.  A dense P (at least one
+    non-zero in SPARSE_SHARE of its n^2 entries) is held as a read-only
+    ``cube`` over ``dims + dims`` (source digits, then target digits),
+    reduced with ``cube.sum``, and its support is found on first use.  A
+    sparse P is held as its non-zeros, found in one scan, and no n x n
+    array is built: each reduction adds the non-zeros in the order
+    ``cube.sum`` adds the cube (:func:`_pairwise_sums`), so both forms give
+    the same bits.
+
+    Each mask is reduced at most once: the reduction's non-zero entries are
+    kept and later projections are rebuilt from them, with the same bits.
+    The kept entries never take more bytes than the dense cube; past that,
+    reductions are computed and not kept.
     """
 
     def __init__(self, P: TransitionMatrix, pi: Distribution):
@@ -438,28 +545,78 @@ class EdgeMeasure:
         self.pi = pi
         self.space = P.space
         dims = P.space.dims
-        self.cube = (pi.probs[:, None] * P.rows).reshape(dims + dims)
-        self.cube.setflags(write=False)
+        n = P.space.total
+        self._held_cap = n * n * 8
         self._held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.held_bytes = 0
         self._support: tuple[np.ndarray, ...] | None = None
+        self.cube: np.ndarray | None = None
+        if SPARSE_SHARE * np.count_nonzero(P.rows) < n * n:
+            self._hold_nonzeros()
+        else:
+            self.cube = (pi.probs[:, None] * P.rows).reshape(dims + dims)
+            self.cube.setflags(write=False)
+
+    def _hold_nonzeros(self) -> None:
+        """Hold P's non-zeros weighted by pi, and each state's digits as
+        narrow codes."""
+        self._nonzeros = _nonzeros(self.pi.probs, self.P.rows)
+        for arr in self._nonzeros:
+            arr.setflags(write=False)
+        dims = self.space.dims
+        states = np.arange(self.space.total)
+        self._digits = [(states // math.prod(dims[i + 1:]) % radix).astype(
+            np.min_scalar_type(radix - 1)) for i, radix in enumerate(dims)]
 
     def _reduce(self, mask: SubsetMask) -> np.ndarray:
-        """The one reduction of the cube: sum out the digits outside ``mask``
-        at both endpoints."""
+        """The one reduction of the edge measure: sum out the digits outside
+        ``mask`` at both endpoints."""
+        if self.cube is None:
+            return self._reduce_nonzeros(mask)
         drop = _dropped(mask)
         return self.cube.sum(axis=drop + tuple(self.space.d + i for i in drop))
+
+    def _reduce_nonzeros(self, mask: SubsetMask) -> np.ndarray:
+        """``cube.sum`` over the dropped digits, bit for bit, from the held
+        non-zeros.  The cube's trailing dropped digits, the target digits
+        past the last kept coordinate, form one run of ``run`` entries,
+        which numpy sums pairwise; each cell adds its runs in row-major
+        order of its other dropped digits.  With no coordinate kept the
+        whole cube is one run."""
+        x, y, _, w = self._nonzeros
+        dims, n = self.space.dims, self.space.total
+        kept = mask.indices()
+        code = np.zeros(n, dtype=np.intp)
+        for i in kept:
+            code = code * dims[i] + self._digits[i]
+        total_s = math.prod(dims[i] for i in kept)
+        cell = code[x] * total_s + code[y]
+        run = math.prod(dims[kept[-1] + 1:]) if kept else n * n
+        if run > 1:
+            flat = x * n + y
+            run_of = flat // run
+            first = np.ones(len(flat), dtype=bool)
+            first[1:] = run_of[1:] != run_of[:-1]
+            w = _pairwise_sums(np.cumsum(first) - 1, flat % run, w, run)
+            cell = cell[first]
+        return np.bincount(cell, w, minlength=total_s * total_s).reshape(
+            tuple(dims[i] for i in kept) * 2)
 
     def project(self, mask: SubsetMask) -> np.ndarray:
         """E_S(x_S, y_S) = sum of pi(x) P(x, y) over the hidden digits of both
         endpoints, as a ``(total_S, total_S)`` array with row sums pi_S.
-        The full mask is a read-only view of the cube; any other mask gives
-        a fresh array that the caller owns."""
+        On a dense chain the full mask is a read-only view of the cube; any
+        other result is a fresh array that the caller owns."""
         if mask.d != self.space.d:
             raise ValidationError("mask universe does not match space dimension")
         total_s = math.prod(self.space.dims[i] for i in mask)
         if mask.size == self.space.d:
-            return self.cube.reshape(total_s, total_s)
+            if self.cube is not None:
+                return self.cube.reshape(total_s, total_s)
+            x, y, _, w = self._nonzeros
+            e = np.zeros(total_s * total_s)
+            e[x * total_s + y] = w
+            return e.reshape(total_s, total_s)
         held = self._held.get(mask.bits)
         if held is not None:
             index, values = held
@@ -470,10 +627,19 @@ class EdgeMeasure:
         # the same indices as np.flatnonzero(e_s), found about 3x faster
         index = np.flatnonzero(e_s != 0.0).astype(np.int32)
         values = e_s.reshape(-1)[index]
-        if self.held_bytes + index.nbytes + values.nbytes <= self.cube.nbytes:
+        if self.held_bytes + index.nbytes + values.nbytes <= self._held_cap:
             self._held[mask.bits] = (index, values)
             self.held_bytes += index.nbytes + values.nbytes
         return e_s
+
+    def weights(self, mask: SubsetMask) -> np.ndarray:
+        """E_S's entries as an entropy reads them, in row-major order: on a
+        sparse chain's full mask only the held non-zeros, otherwise all of
+        ``project(mask)``.  Entries at or below TERM_FLOOR count as zero in
+        both, so they give the same entropy, bit for bit."""
+        if mask.size == self.space.d and self.cube is None:
+            return self._nonzeros[3]
+        return self.project(mask).reshape(-1)
 
     def keep_in(self, mask: SubsetMask) -> TransitionMatrix:
         """Keep-``mask``-in matrix ``P_S(x_S, y_S) = E_S(x_S, y_S) / pi_S(x_S)``:
@@ -486,9 +652,13 @@ class EdgeMeasure:
 
     def support(self) -> tuple[np.ndarray, ...]:
         """P's support weighted by pi, ``weighted_support(pi, P)``: read-only
-        arrays (x, y, P(x, y), pi(x) P(x, y)), found on the first call."""
+        arrays (x, y, P(x, y), pi(x) P(x, y)).  A sparse chain reads it
+        from its held non-zeros; a dense one scans P on the first call."""
         if self._support is None:
-            self._support = weighted_support(self.pi.probs, self.P.rows)
+            if self.cube is None:
+                self._support = _above_floor(self._nonzeros)
+            else:
+                self._support = weighted_support(self.pi.probs, self.P.rows)
             for arr in self._support:
                 arr.setflags(write=False)
         return self._support

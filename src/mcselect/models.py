@@ -169,7 +169,7 @@ def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]
         )
     P = TransitionMatrix(space, transition)
     validate(P)
-    _require_irreducible(P.rows)
+    _require_irreducible(P)
 
     pi: Distribution | None = None
     if "stationary" in doc:

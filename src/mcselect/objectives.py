@@ -136,7 +136,7 @@ class Workspace:
         cached = self._H_edge.get(mask.bits)
         if cached is not None:
             return cached
-        value = functionals.shannon_entropy(self.edge.project(mask))
+        value = functionals.shannon_entropy(self.edge.weights(mask))
         self._H_edge[mask.bits] = value
         return value
 

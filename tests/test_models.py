@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from mcselect.chain_core import ValidationError, stationary_distribution, validate
+from mcselect import chain_core
+from mcselect.chain_core import (
+    ProductStateSpace,
+    TransitionMatrix,
+    ValidationError,
+    stationary_distribution,
+    validate,
+)
 from mcselect.functionals import entropy_rate
 from mcselect.models import (
     CurieWeissParams,
@@ -129,3 +136,64 @@ class TestChainFiles:
         loaded, pi = load_chain(path)
         validate(loaded)
         assert pi is None
+
+
+def naive_first_unreached(rows):
+    """The first failure of mutual reachability with state 0, found by a
+    dense boolean frontier search, or None."""
+    support = rows > 0.0
+    n = rows.shape[0]
+    for adjacency, direction in ((support, "unreachable from"), (support.T, "cannot reach")):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return f"chain is not irreducible: state {int(np.argmin(seen))} {direction} state 0"
+    return None
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_reported_state_matches_a_dense_search(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 12
+        rows = rng.random((n, n)) * (rng.random((n, n)) < 0.25)
+        rows[np.arange(n), np.arange(n)] += 0.1
+        rows /= rows.sum(axis=1, keepdims=True)
+        P = TransitionMatrix(ProductStateSpace((3, 4)), rows)
+        want = naive_first_unreached(rows)
+        if want is None:
+            chain_core._require_irreducible(P)
+        else:
+            with pytest.raises(ValidationError) as err:
+                chain_core._require_irreducible(P)
+            assert str(err.value) == want
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_searched_once_per_load(self, tmp_path, monkeypatch, cw4, stored):
+        """A chain file without pi is checked in load_chain, and the solve
+        that follows does not search P again."""
+        P, pi = cw4
+        path = tmp_path / "chain.json"
+        save_chain(path, P, pi if stored else None)
+        walks = []
+        reached = chain_core._reached
+        monkeypatch.setattr(chain_core, "_reached",
+                            lambda src, dst, n: walks.append(1) or reached(src, dst, n))
+        loaded, loaded_pi = load_chain(path)
+        if loaded_pi is None:
+            stationary_distribution(loaded)
+        assert len(walks) == 2  # state 0 forwards, then backwards
+
+    def test_each_matrix_is_searched_again(self, monkeypatch, cw4):
+        walks = []
+        reached = chain_core._reached
+        monkeypatch.setattr(chain_core, "_reached",
+                            lambda src, dst, n: walks.append(1) or reached(src, dst, n))
+        P = cw4[0]
+        for _ in range(2):
+            stationary_distribution(TransitionMatrix(P.space, P.rows))
+        assert len(walks) == 4

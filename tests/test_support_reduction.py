@@ -1,0 +1,186 @@
+"""The support path of EdgeMeasure against numpy's own reduction of the cube.
+
+A sparse chain's edge measure is reduced from P's non-zeros in the order
+numpy's pairwise summation adds the dense cube, so every projection keeps
+the bits of ``cube.sum``.  These tests call the support reduction directly
+on dense and sparse chains, so a change in numpy's summation order shows up
+here as one named failure.
+"""
+
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcselect import chain_core
+from mcselect.chain_core import (
+    EdgeMeasure,
+    ProductStateSpace,
+    SubsetMask,
+    TransitionMatrix,
+    stationary_distribution,
+)
+from mcselect.functionals import shannon_entropy
+from mcselect.models import CurieWeissParams, curie_weiss_chain, load_chain
+from mcselect.objectives import Workspace
+
+MIXED_CHAIN = Path(__file__).parent / "golden" / "mixed_3223.json"
+
+
+def random_chain(seed, dims, zeros=0.0):
+    """A random chain with the given share of zero entries; a cycle through
+    every state keeps it irreducible."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(dims))
+    rows = rng.random((n, n))
+    rows[rng.random((n, n)) < zeros] = 0.0
+    rows[np.arange(n), (np.arange(n) + 1) % n] += 0.5
+    rows /= rows.sum(axis=1, keepdims=True)
+    P = TransitionMatrix(ProductStateSpace(dims), rows)
+    return P, stationary_distribution(P)
+
+
+def chain(spec):
+    if spec == "mixed_3223":
+        return load_chain(MIXED_CHAIN)
+    if isinstance(spec, int):
+        return curie_weiss_chain(CurieWeissParams(spec, 10.0, 1.0))
+    dims, zeros = spec
+    return random_chain(sum(dims), dims, zeros)
+
+
+def cube_of(P, pi):
+    return (pi.probs[:, None] * P.rows).reshape(P.space.dims * 2)
+
+
+def cube_sum(cube, mask):
+    drop = tuple(i for i in range(mask.d) if i not in mask)
+    return cube.sum(axis=drop + tuple(mask.d + i for i in drop))
+
+
+SPECS = [6, 8, "mixed_3223"] + [
+    (dims, zeros)
+    for dims in [(3, 2, 2), (5, 5, 5, 5), (7, 3, 5, 2, 3), (2,) * 8]
+    for zeros in (0.0, 0.9)
+] + [((3,) * 6, 0.9)]  # runs of 243 and 81 entries: two blocks, and tails
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_every_mask_has_the_bits_of_cube_sum(spec):
+    P, pi = chain(spec)
+    cube = cube_of(P, pi)
+    em = EdgeMeasure(P, pi)
+    if em.cube is not None:
+        em._hold_nonzeros()  # the support path, whatever the density
+    for S in SubsetMask.full(P.space.d).subsets():
+        assert np.array_equal(em._reduce_nonzeros(S), cube_sum(cube, S)), S
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 4), st.floats(0.002, 0.5), st.integers(0, 2**32 - 1))
+def test_pairwise_sums_of_any_run(run, groups, share, seed):
+    """Runs of any length, split into blocks of one or several depths,
+    against numpy's sum over the last axis of the dense rows."""
+    rng = np.random.default_rng(seed)
+    dense = rng.random((groups, run)) * (rng.random((groups, run)) < share)
+    dense[:, rng.integers(run)] += 1.0  # no group is empty
+    group, pos = np.nonzero(dense)
+    got = chain_core._pairwise_sums(group, pos, dense[group, pos], run)
+    assert np.array_equal(got, dense.sum(axis=1))
+
+
+def test_runs_over_a_block_at_d10(cw10):
+    """Runs of 512 and 256 entries split into two and four blocks."""
+    P, pi = cw10
+    cube = cube_of(P, pi)
+    em = EdgeMeasure(P, pi)
+    for kept in [(0,), (1,), (0, 1), (1, 3)]:
+        S = SubsetMask.of(10, kept)
+        assert np.array_equal(em._reduce_nonzeros(S), cube_sum(cube, S)), S
+
+
+def test_storage_follows_the_density():
+    assert EdgeMeasure(*chain(4)).cube is not None  # 80 non-zeros of 256
+    assert EdgeMeasure(*chain(6)).cube is None  # 448 of 4096
+    assert EdgeMeasure(*chain(((3, 2, 2), 0.0))).cube is not None
+
+
+def test_floor_weights_are_reduced_but_not_in_the_support():
+    """The held scan keeps every non-zero; support() drops those at or below
+    TERM_FLOOR, as a fresh scan of P does."""
+    n = 32
+    rows = np.zeros((n, n))
+    rows[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    rows[0, 0], rows[0, 1] = 1e-305, 1.0 - 1e-305
+    P = TransitionMatrix(ProductStateSpace((2,) * 5), rows)
+    pi = stationary_distribution(P)
+    em = EdgeMeasure(P, pi)
+    assert em.cube is None
+    assert len(em._nonzeros[0]) == n + 1
+    for got, want in zip(em.support(), chain_core.weighted_support(pi.probs, P.rows)):
+        assert np.array_equal(got, want)
+    assert len(em.support()[0]) == n
+    cube = cube_of(P, pi)
+    for S in SubsetMask.full(5).subsets():
+        assert np.array_equal(em._reduce_nonzeros(S), cube_sum(cube, S))
+
+
+def test_sparse_chain_scans_P_once(monkeypatch):
+    P, pi = chain(6)
+    scans = []
+    scan = chain_core._nonzeros
+    monkeypatch.setattr(chain_core, "_nonzeros", lambda mu, M: scans.append(1) or scan(mu, M))
+    em = EdgeMeasure(P, pi)
+    em.support()
+    em.weights(SubsetMask.full(6))
+    em.keep_in(SubsetMask.of(6, (0, 2)))
+    em.support()
+    assert len(scans) == 1
+
+
+def traced_peak(step) -> int:
+    """Bytes traced at the peak of ``step()`` above those held before it."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    step()
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+def test_sparse_chain_allocates_no_n_by_n_array(cw8):
+    P, pi = cw8
+    n = P.space.total
+    full = SubsetMask.full(8)
+    tracemalloc.start()
+    try:
+        # the measure is able to see an n x n array
+        assert traced_peak(lambda: np.ones((n, n))) >= n * n * 8
+        em = None
+
+        def build():
+            nonlocal em
+            em = EdgeMeasure(P, pi)
+
+        peaks = [traced_peak(build), traced_peak(em.support),
+                 traced_peak(lambda: em.weights(full))]
+        for S in full.subsets():
+            if S != full:
+                peaks.append(traced_peak(lambda: em.project(S)))
+        ws = Workspace(P, pi)
+        peaks.append(traced_peak(lambda: ws.entropy_rate(full)))
+    finally:
+        tracemalloc.stop()
+    assert em.cube is None and ws.edge.cube is None
+    assert max(peaks) < n * n * 8
+
+
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_full_mask_entropy_is_that_of_the_dense_cube(d):
+    P, pi = chain(d)
+    want = shannon_entropy(pi.probs[:, None] * P.rows)
+    ws = Workspace(P, pi)
+    assert ws.edge.cube is None
+    assert shannon_entropy(ws.edge.weights(SubsetMask.full(d))) == want
+    assert ws.entropy_rate(SubsetMask.full(d)) == want - shannon_entropy(pi)

@@ -38,10 +38,11 @@ DENSE_ENTRY_CAP = 1 << 26
 # Weights at or below this count as zero (0 ln 0 = 0 without log underflow).
 TERM_FLOOR = 1e-300
 
-# An edge measure is held as P's non-zeros when they are fewer than one in
-# SPARSE_SHARE of its n^2 entries.  Measured on 2 cores, cube.sum costs 5 to
-# 20 ns per cube entry and the support reduction 60 to 150 ns per non-zero,
-# so they break even at a density between about 1/30 and 1/4.
+# A matrix is sparse when its non-zeros are fewer than one in SPARSE_SHARE
+# of its n^2 entries: it then keeps them, and its edge measure and
+# stationary solve work on them alone.  Measured on 2 cores, cube.sum costs
+# 5 to 20 ns per cube entry and the support reduction 60 to 150 ns per
+# non-zero, so they break even at a density between about 1/30 and 1/4.
 SPARSE_SHARE = 8
 
 # mallopt parameter number (glibc malloc.h) and the value it is held at:
@@ -292,13 +293,24 @@ class TransitionMatrix:
     """Dense row-stochastic matrix over a product state space.
 
     Construction only checks the shape; use :func:`validate` for the
-    stochasticity check.
+    stochasticity check.  A matrix keeps what its checks learn, so each
+    check and scan runs once per matrix, however many callers ask: a pass
+    of :func:`validate` at STOCHASTIC_TOL, the irreducibility verdict, and
+    from the first scan of its entries whether it is sparse (fewer than one
+    non-zero in SPARSE_SHARE of its n^2 entries) and, if so, its non-zeros
+    (x, y, P(x, y)) in row-major order.  A dense matrix holds no more than
+    its rows.
     """
 
     space: ProductStateSpace
     rows: np.ndarray
+    # set by validate once P has passed it at STOCHASTIC_TOL
+    _stochastic: bool = field(default=False, init=False, repr=False, compare=False)
     # set by _require_irreducible once P has passed it
     _irreducible: bool = field(default=False, init=False, repr=False, compare=False)
+    # set by _scan: a sparse P's non-zeros, or () for a dense P
+    _nonzeros: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = _frozen(self.rows)
@@ -320,8 +332,17 @@ class TransitionMatrix:
 
 
 def validate(P: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> None:
-    """Raise :class:`ValidationError` naming the first offending row/entry."""
-    rows = P.rows
+    """Raise :class:`ValidationError` naming the first offending row/entry.
+    P keeps a pass at STOCHASTIC_TOL or tighter, so a matrix that passed
+    is not checked again at that tolerance or a looser one."""
+    if P._stochastic and tol >= STOCHASTIC_TOL:
+        return
+    _check_stochastic(P.rows, tol)
+    if tol <= STOCHASTIC_TOL:
+        object.__setattr__(P, "_stochastic", True)
+
+
+def _check_stochastic(rows: np.ndarray, tol: float) -> None:
     # written so that NaN, for which every comparison is False, fails too
     bad = np.argwhere(~((rows >= 0) & (rows <= 1)))
     if bad.size:
@@ -334,6 +355,29 @@ def validate(P: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> None:
     worst = int(np.argmax(off))
     if off[worst] > tol:
         raise ValidationError(f"row {worst} sums to {sums[worst]!r} (|1 - sum| = {off[worst]:.3e})")
+
+
+def _scan(P: TransitionMatrix) -> tuple[np.ndarray, ...]:
+    """Scan P for its non-zeros (x, y, P(x, y)) in row-major order.  A
+    sparse P keeps them as read-only arrays, a dense P only the verdict."""
+    x, y = np.nonzero(P.rows)
+    entries = (x, y, P.rows[x, y])
+    n = P.space.total
+    if SPARSE_SHARE * len(x) < n * n:
+        for arr in entries:
+            arr.setflags(write=False)
+        object.__setattr__(P, "_nonzeros", entries)
+    else:
+        object.__setattr__(P, "_nonzeros", ())
+    return entries
+
+
+def _sparse_nonzeros(P: TransitionMatrix) -> tuple[np.ndarray, ...] | None:
+    """The non-zeros a sparse P keeps (see :func:`_scan`), None for a dense
+    P; only the first call on a matrix scans it."""
+    if P._nonzeros is None:
+        _scan(P)
+    return P._nonzeros or None
 
 
 def _reached(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -356,7 +400,7 @@ def _require_irreducible(P: TransitionMatrix) -> None:
     matrix is searched once, however many callers ask."""
     if P._irreducible:
         return
-    x, y = np.nonzero(P.rows)
+    x, y, _ = P._nonzeros or _scan(P)
     for src, dst, direction in ((x, y, "unreachable from"), (y, x, "cannot reach")):
         seen = _reached(src, dst, P.space.total)
         if not seen.all():
@@ -381,7 +425,9 @@ def stationary_distribution(
 
     The lazy chain shares the stationary distribution and is aperiodic, so
     power iteration converges for any irreducible P.  The residual is
-    measured on the original chain: ||pi P - pi||_1 <= tol.
+    measured on the original chain: ||pi P - pi||_1 <= tol.  A dense P is
+    multiplied as ``v @ P.rows``; a sparse one only over its non-zeros, as
+    ``np.bincount(y, v[x] * P(x, y))``.
     """
     if max_iters < 1:
         raise ValidationError(f"power iteration needs max_iters >= 1, got {max_iters}")
@@ -389,9 +435,14 @@ def stationary_distribution(
     n = P.space.total
     rows = P.rows
     _require_irreducible(P)
+    sparse = _sparse_nonzeros(P)
     v = np.full(n, 1.0 / n)
     for _ in range(max_iters):
-        w = v @ rows
+        if sparse is None:
+            w = v @ rows
+        else:
+            x, y, p = sparse
+            w = np.bincount(y, v[x] * p, minlength=n)
         residual = float(np.abs(w - v).sum())
         if residual <= tol:
             v = w / w.sum()
@@ -427,14 +478,6 @@ def marginalize(dist: Distribution, mask: SubsetMask) -> Distribution:
     return Distribution(space.subspace(mask), out.reshape(-1))
 
 
-def _nonzeros(mu: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every non-zero entry (x, y) of M in row-major order, with M(x, y) and
-    mu(x) M(x, y) at each."""
-    x, y = np.nonzero(M)
-    m = M[x, y]
-    return x, y, m, mu[x] * m
-
-
 def _above_floor(entries: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     keep = entries[3] > TERM_FLOOR
     return entries if keep.all() else tuple(arr[keep] for arr in entries)
@@ -443,7 +486,9 @@ def _above_floor(entries: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 def weighted_support(mu: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, ...]:
     """The entries (x, y) with mu(x) M(x, y) > TERM_FLOOR, in row-major
     order, with M(x, y) and the weight mu(x) M(x, y) at each."""
-    return _above_floor(_nonzeros(mu, M))
+    x, y = np.nonzero(M)
+    m = M[x, y]
+    return _above_floor((x, y, m, mu[x] * m))
 
 
 # numpy's float64 add.reduce sums a contiguous run by pairwise summation
@@ -526,8 +571,8 @@ class EdgeMeasure:
     non-zero in SPARSE_SHARE of its n^2 entries) is held as a read-only
     ``cube`` over ``dims + dims`` (source digits, then target digits),
     reduced with ``cube.sum``, and its support is found on first use.  A
-    sparse P is held as its non-zeros, found in one scan, and no n x n
-    array is built: each reduction adds the non-zeros in the order
+    sparse P is held as the non-zeros P keeps (one scan per matrix), and
+    no n x n array is built: each reduction adds the non-zeros in the order
     ``cube.sum`` adds the cube (:func:`_pairwise_sums`), so both forms give
     the same bits.
 
@@ -551,7 +596,7 @@ class EdgeMeasure:
         self.held_bytes = 0
         self._support: tuple[np.ndarray, ...] | None = None
         self.cube: np.ndarray | None = None
-        if SPARSE_SHARE * np.count_nonzero(P.rows) < n * n:
+        if _sparse_nonzeros(P) is not None:
             self._hold_nonzeros()
         else:
             self.cube = (pi.probs[:, None] * P.rows).reshape(dims + dims)
@@ -560,7 +605,8 @@ class EdgeMeasure:
     def _hold_nonzeros(self) -> None:
         """Hold P's non-zeros weighted by pi, and each state's digits as
         narrow codes."""
-        self._nonzeros = _nonzeros(self.pi.probs, self.P.rows)
+        x, y, p = self.P._nonzeros or _scan(self.P)
+        self._nonzeros = (x, y, p, self.pi.probs[x] * p)
         for arr in self._nonzeros:
             arr.setflags(write=False)
         dims = self.space.dims

@@ -8,6 +8,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from mcselect.chain_core import (
     Distribution,
     ProductStateSpace,
@@ -113,6 +115,22 @@ def brute_force_best(f, universe, m, constraint="le"):
             if val > best_val:
                 best, best_val = frozenset(combo), val
     return best, best_val
+
+
+def naive_power_iteration(rows, tol=1e-12, max_iters=200_000):
+    """The lazy power iteration with a dense ``v @ rows`` at every step:
+    (pi, the steps taken, the last residual), pi None if ``max_iters``
+    steps fall short of ``tol``."""
+    n = len(rows)
+    v = np.full(n, 1.0 / n)
+    for step in range(1, max_iters + 1):
+        w = v @ rows
+        residual = float(np.abs(w - v).sum())
+        if residual <= tol:
+            return w / w.sum(), step, residual
+        v = 0.5 * (w + v)
+        v /= v.sum()
+    return None, max_iters, residual
 
 
 def random_chain(rng, dims, stationary=True):

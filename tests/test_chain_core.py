@@ -1,14 +1,18 @@
 import ctypes
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_naive import (
     all_states,
     naive_index,
     naive_keep_in,
     naive_marginal,
+    naive_power_iteration,
     naive_tensor,
     random_chain,
     random_reversible_chain,
@@ -31,7 +35,7 @@ from mcselect.chain_core import (
     worst_case_tv,
 )
 from mcselect.functionals import entropy_rate, kl_rate, shannon_entropy
-from mcselect.models import CurieWeissParams, curie_weiss_chain, load_chain
+from mcselect.models import CurieWeissParams, curie_weiss_chain, load_chain, save_chain
 
 MIXED_CHAIN = Path(__file__).parent / "golden" / "mixed_3223.json"
 
@@ -168,6 +172,149 @@ class TestStationary:
         rows = np.array([[0.9, 0.1], [0.2, 0.8]])
         with pytest.raises(ConvergenceError, match="after 1 iterations"):
             stationary_distribution(tm((2,), rows), max_iters=1)
+
+
+def is_sparse(P):
+    return chain_core._sparse_nonzeros(P) is not None
+
+
+def chorded_cycle():
+    """A 16-state cycle with one chord 0 -> 3: 17 non-zeros, period 2 (the
+    cycles have lengths 16 and 14), and a stationary law that is not
+    uniform, so the plain iteration would oscillate from the uniform start."""
+    n = 16
+    rows = np.zeros((n, n))
+    rows[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    rows[0, 1] = rows[0, 3] = 0.5
+    return tm((2, 2, 2, 2), rows)
+
+
+@st.composite
+def sparse_chains(draw):
+    """A random irreducible chain on 4 or 5 coordinates of sizes 2 and 3
+    with fewer than n/8 non-zeros a row: a cycle through every state, which
+    keeps it irreducible, and random chords."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=4, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = math.prod(dims)
+    states = np.arange(n)
+    rows = np.zeros((n, n))
+    rows[states, (states + 1) % n] = rng.random(n) + 0.05
+    for x, chords in zip(states, rng.integers(0, (n - 1) // 8, size=n)):
+        rows[x, rng.choice(n, chords, replace=False)] += rng.random(chords) + 0.05
+    rows /= rows.sum(axis=1, keepdims=True)
+    return tm(dims, rows)
+
+
+class TestSparseSolve:
+    """The solve over a sparse P's non-zeros against the dense iteration
+    ``v @ rows``: the same steps, and pi within 1e-14 in L1."""
+
+    def assert_matches_the_dense_iteration(self, P):
+        assert is_sparse(P)
+        want, steps, _ = naive_power_iteration(P.rows)
+        pi = stationary_distribution(P)
+        assert np.abs(pi.probs - want).sum() <= 1e-14
+        stationary_distribution(P, max_iters=steps)
+        if steps > 1:
+            with pytest.raises(ConvergenceError, match=f"after {steps - 1} iterations"):
+                stationary_distribution(P, max_iters=steps - 1)
+
+    @pytest.mark.parametrize("d", [6, 7, 8, 9, 10])
+    def test_curie_weiss(self, d):
+        P, _ = curie_weiss_chain(CurieWeissParams(d, 10.0, 1.0))
+        self.assert_matches_the_dense_iteration(P)
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(sparse_chains())
+    def test_random_sparse_chains(self, P):
+        n = P.space.total
+        assert (np.count_nonzero(P.rows, axis=1) < n / 8).all()
+        self.assert_matches_the_dense_iteration(P)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 2, 2, 2)])
+    def test_dense_input_keeps_its_bits(self, rng, dims):
+        P, _ = random_chain(rng, dims, stationary=False)
+        assert not is_sparse(P)
+        assert np.array_equal(stationary_distribution(P).probs, naive_power_iteration(P.rows)[0])
+
+    def test_the_sparse_rule_is_strict(self):
+        """A cycle with self-loops has 2n non-zeros, 8 nnz = n^2 at n=16:
+        dense, and bit for bit the dense iteration; dropping a self-loop
+        makes it sparse."""
+        n = 16
+        rows = np.zeros((n, n))
+        rows[np.arange(n), (np.arange(n) + 1) % n] = np.linspace(0.2, 0.8, n)
+        rows[np.arange(n), np.arange(n)] = 1.0 - rows[np.arange(n), (np.arange(n) + 1) % n]
+        P = tm((2, 2, 2, 2), rows)
+        assert not is_sparse(P)
+        assert np.array_equal(stationary_distribution(P).probs, naive_power_iteration(rows)[0])
+        rows[5, 6], rows[5, 5] = 1.0, 0.0
+        self.assert_matches_the_dense_iteration(tm((2, 2, 2, 2), rows))
+
+    def test_periodic_chain_converges_via_lazy_iteration(self):
+        P = chorded_cycle()
+        self.assert_matches_the_dense_iteration(P)
+        want = np.full(16, 2.0)
+        want[1:3] = 1.0  # the states the chord skips
+        assert np.allclose(stationary_distribution(P).probs, want / 30.0, rtol=0, atol=1e-12)
+
+    def test_disconnected_classes_rejected(self):
+        P = tm((2, 2, 2, 2), np.eye(16))
+        assert is_sparse(P)
+        with pytest.raises(ValidationError) as err:
+            stationary_distribution(P)
+        assert str(err.value) == "chain is not irreducible: state 1 unreachable from state 0"
+
+    def test_transient_state_rejected(self):
+        """State 0 leads into the cycle 1 -> 2 -> ... -> 15 -> 1, which never
+        returns to it."""
+        rows = np.zeros((16, 16))
+        rows[np.arange(15), np.arange(1, 16)] = 1.0
+        rows[15, 1] = 1.0
+        P = tm((2, 2, 2, 2), rows)
+        assert is_sparse(P)
+        with pytest.raises(ValidationError) as err:
+            stationary_distribution(P)
+        assert str(err.value) == "chain is not irreducible: state 1 cannot reach state 0"
+
+    def test_one_iteration_short_of_tolerance(self):
+        P = chorded_cycle()
+        _, _, residual = naive_power_iteration(P.rows, max_iters=1)
+        with pytest.raises(ConvergenceError) as err:
+            stationary_distribution(P, max_iters=1)
+        assert str(err.value) == (
+            "power iteration did not reach ||pi P - pi||_1 <= 1e-12 after 1 iterations "
+            f"(residual {residual:.3e})")
+
+
+class TestOneScanPerMatrix:
+    """A loaded chain is scanned for its non-zeros once, by the
+    irreducibility search; the solve and every edge measure read what P
+    keeps.  A dense P keeps none of its entries."""
+
+    def run(self, tmp_path, monkeypatch, P):
+        path = tmp_path / "chain.json"
+        save_chain(path, P)
+        scans = []
+        scan = chain_core._scan
+        monkeypatch.setattr(chain_core, "_scan", lambda M: scans.append(1) or scan(M))
+        loaded, pi = load_chain(path)
+        assert pi is None
+        pi = stationary_distribution(loaded)
+        for _ in range(2):
+            EdgeMeasure(loaded, pi).keep_in(SubsetMask.of(P.space.d, (0,)))
+        assert len(scans) == 1
+        return loaded
+
+    def test_sparse_chain(self, tmp_path, monkeypatch):
+        P = self.run(tmp_path, monkeypatch, curie_weiss_chain(CurieWeissParams(6, 10.0, 1.0))[0])
+        assert len(P._nonzeros) == 3
+        assert all(not arr.flags.writeable for arr in P._nonzeros)
+
+    def test_dense_chain(self, tmp_path, monkeypatch, rng):
+        P = self.run(tmp_path, monkeypatch, random_chain(rng, (2, 2, 2), stationary=False)[0])
+        assert P._nonzeros == ()
 
 
 class TestMarginalize:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from click.testing import CliRunner
 from mcselect.cli import main, mcmc_study, parse_ceiling, parse_coords
 from mcselect.functionals import stationary_kernel
 from mcselect.models import save_chain
+
+SPARSE_CHAIN = Path(__file__).parent / "data" / "cw6_unsolved.json"
 
 ENTROPY_GREEDY_REFERENCE = {
     1: 0.29085, 2: 0.57371, 3: 0.83933, 4: 1.09570, 5: 1.33953,
@@ -445,6 +448,14 @@ class TestValidateCommand:
         path.write_text("{oops")
         result = CliRunner().invoke(main, ["validate", str(path)])
         assert result.exit_code == 3
+
+    def test_committed_sparse_chain_is_solved(self):
+        """Curie-Weiss d=6 (448 non-zeros of 4096) stored without pi: the
+        solve runs over its non-zeros."""
+        result = run_cli(["validate", str(SPARSE_CHAIN)])
+        assert result.exit_code == 0
+        assert result.output.startswith("ok: 6 coordinates, 64 states, stationary recomputed, ")
+        assert float(result.output.rsplit("residual", 1)[1]) <= 1e-12
 
     def test_round_trip_of_generated_chain(self, tmp_path, cw4):
         P, _ = cw4

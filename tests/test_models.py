@@ -197,3 +197,66 @@ class TestIrreducibility:
         for _ in range(2):
             stationary_distribution(TransitionMatrix(P.space, P.rows))
         assert len(walks) == 4
+
+
+def spy_on_checks(monkeypatch):
+    """Record the tolerance of every stochasticity check made."""
+    checks = []
+    check = chain_core._check_stochastic
+    monkeypatch.setattr(chain_core, "_check_stochastic",
+                        lambda rows, tol: checks.append(tol) or check(rows, tol))
+    return checks
+
+
+class TestValidatedOnce:
+    def test_load_then_solve(self, tmp_path, monkeypatch, cw4):
+        path = tmp_path / "chain.json"
+        save_chain(path, cw4[0])
+        checks = spy_on_checks(monkeypatch)
+        loaded, pi = load_chain(path)
+        assert pi is None
+        stationary_distribution(loaded)
+        assert checks == [chain_core.STOCHASTIC_TOL]
+
+    def test_curie_weiss_then_solve(self, monkeypatch):
+        checks = spy_on_checks(monkeypatch)
+        P, _ = curie_weiss_chain(CurieWeissParams(4, 10.0, 1.0))
+        stationary_distribution(P)
+        validate(P)
+        assert checks == [chain_core.STOCHASTIC_TOL]
+
+    def test_each_matrix_is_checked_again(self, monkeypatch, cw4):
+        P = cw4[0]
+        validate(P)
+        checks = spy_on_checks(monkeypatch)
+        for _ in range(2):
+            stationary_distribution(TransitionMatrix(P.space, P.rows))
+        assert len(checks) == 2
+
+    def test_a_failing_matrix_fails_every_time(self, monkeypatch):
+        rows = np.array([[0.5, 0.6], [0.5, 0.5]])
+        P = TransitionMatrix(ProductStateSpace((2,)), rows)
+        checks = spy_on_checks(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="row 0 sums to"):
+                validate(P)
+        assert len(checks) == 3
+
+    def test_a_pass_counts_for_looser_tolerances_only(self):
+        rows = np.array([[0.5, 0.5 + 5e-10], [0.5, 0.5]])
+        P = TransitionMatrix(ProductStateSpace((2,)), rows)
+        validate(P, tol=chain_core.POWER_STOCHASTIC_TOL)
+        with pytest.raises(ValidationError, match="row 0 sums to"):
+            validate(P)
+        rows[0, 1] = 0.5 + 5e-11
+        P = TransitionMatrix(ProductStateSpace((2,)), rows)
+        validate(P)
+        with pytest.raises(ValidationError, match="row 0 sums to"):
+            validate(P, tol=1e-11)
+
+    def test_matrix_power_checks_its_result(self, monkeypatch, cw4):
+        P = cw4[0]
+        validate(P)
+        checks = spy_on_checks(monkeypatch)
+        chain_core.matrix_power(P, 3)
+        assert checks == [chain_core.POWER_STOCHASTIC_TOL]

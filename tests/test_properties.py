@@ -2,7 +2,8 @@
 feasible candidate, satisfies f = g - c - shift exactly and agrees with its
 direct evaluation within the drift tolerance the command line enforces; the
 g of every entry that carries a guarantee passes the exhaustive oracle, and
-the distorted greedy runs meet their certificate.  Over random set
+the distorted greedy runs meet their certificate; the distance to
+independence obeys the chain rule over a two-block split.  Over random set
 functions, every failing oracle clause reports its first violation."""
 
 import itertools
@@ -12,8 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_naive import random_product_chain, random_reversible_chain
-from mcselect.chain_core import SubsetMask, ValidationError
+from mcselect.chain_core import (
+    EdgeMeasure,
+    SubsetMask,
+    ValidationError,
+    marginalize,
+    tensor,
+    tensor_dist,
+)
 from mcselect.cli import DRIFT_TOL
+from mcselect.functionals import distance_to_independence
 from mcselect.objectives import (
     CRITERIA,
     PARTITION_PROBLEMS,
@@ -31,6 +40,7 @@ from mcselect.oracle import (
     check_monotone,
     check_submodular,
 )
+from test_acceptance import TOL_IDENT
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 
@@ -142,6 +152,32 @@ def test_distorted_runs_meet_their_certificate(chain):
             except ValidationError:
                 continue
             assert certify(dec, m, search(dec, m)).satisfied, (dec.problem_id, m)
+
+
+@st.composite
+def chains_with_split(draw):
+    """A random reversible chain on 2..4 coordinates of sizes 2 and 3, and a
+    random split of its coordinates into two non-empty blocks."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=4)))
+    P, pi = random_reversible_chain(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dims)
+    d = len(dims)
+    first = draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(lambda f: 0 < sum(f) < d))
+    block = SubsetMask.of(d, (i for i in range(d) if first[i]))
+    return P, pi, (block, block.complement())
+
+
+@PROPERTY_SETTINGS
+@given(chains_with_split())
+def test_chain_rule_of_the_distance_to_independence(chain):
+    """The tensor of the blocks' keep-in chains is as far from independence
+    as the blocks are, summed."""
+    P, pi, blocks = chain
+    edge = EdgeMeasure(P, pi)
+    joined = tensor([edge.keep_in(S) for S in blocks])
+    joined_pi = tensor_dist([marginalize(pi, S) for S in blocks])
+    lhs = distance_to_independence(joined, joined_pi, SubsetMask.full(P.space.d))
+    rhs = sum(distance_to_independence(P, pi, S) for S in blocks)
+    assert abs(lhs - rhs) <= TOL_IDENT
 
 
 @st.composite

@@ -131,8 +131,8 @@ def test_floor_weights_are_reduced_but_not_in_the_support():
 def test_sparse_chain_scans_P_once(monkeypatch):
     P, pi = chain(6)
     scans = []
-    scan = chain_core._nonzeros
-    monkeypatch.setattr(chain_core, "_nonzeros", lambda mu, M: scans.append(1) or scan(mu, M))
+    scan = chain_core._scan
+    monkeypatch.setattr(chain_core, "_scan", lambda M: scans.append(1) or scan(M))
     em = EdgeMeasure(P, pi)
     em.support()
     em.weights(SubsetMask.full(6))

@@ -49,6 +49,7 @@ GOLDEN = Path(__file__).parent / "golden"
 MIXED_CHAIN = GOLDEN / "mixed_3223.json"
 
 _CW8 = ["--d", "8", "--T", "10", "--h", "1"]
+_CW13 = ["--d", "13", "--T", "10", "--h", "1"]
 _MIXED = ["--model", "file", "--chain-file", str(MIXED_CHAIN)]
 
 # golden file name -> `select` arguments (without --out)
@@ -66,6 +67,11 @@ CASES = {
     "cw8_dist2stat_batch_pairs.csv": [
         "--problem", "dist2stat", "--algorithm", "batch", "--batch-sizes", "pairs", *_CW8,
         "--m", "1", "--m-max", "8"],
+    "cw13_entropy_greedy.csv": [
+        "--problem", "entropy", "--algorithm", "greedy", *_CW13, "--m", "1", "--m-max", "2"],
+    "cw13_dist2stat_batch_pairs.csv": [
+        "--problem", "dist2stat", "--algorithm", "batch", "--batch-sizes", "pairs", *_CW13,
+        "--m", "2"],
     "mixed_dist2fact_greedy_block.csv": [
         "--problem", "dist2fact", "--algorithm", "greedy", "--block-order", *_MIXED,
         "--m", "1", "--m-max", "4"],

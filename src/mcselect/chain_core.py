@@ -1,5 +1,5 @@
-"""Product state spaces, dense stochastic matrices, and projection machinery
-for finite multivariate Markov chains.
+"""Product state spaces, stochastic matrices, and projection machinery for
+finite multivariate Markov chains.
 
 Conventions used throughout the library:
 
@@ -12,6 +12,8 @@ Conventions used throughout the library:
   ascending original order.
 * All wrapper objects are immutable; their arrays are defensively copied and
   marked read-only, so they can be shared freely.
+* A sparse transition matrix built from its non-zeros is stored as those
+  alone, any other as its n x n rows (see :class:`TransitionMatrix`).
 * On Linux, importing the library holds the C allocator's mmap threshold at
   128 KiB (see :func:`_hold_mmap_threshold`).
 """
@@ -290,25 +292,34 @@ class Distribution:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Dense row-stochastic matrix over a product state space.
+    """Row-stochastic matrix over a product state space.
+
+    A sparse matrix (fewer than one non-zero in SPARSE_SHARE of its n^2
+    entries) holds its non-zeros (x, y, P(x, y)) in row-major order: one
+    built from its rows, ``TransitionMatrix(space, rows)``, from the first
+    scan of them; one built from its non-zeros, :meth:`_from_support`,
+    holds only those and builds ``rows`` on first access.  Validation, the
+    irreducibility search, the stationary solve and its residual, point
+    lookups (:meth:`at`) and :class:`EdgeMeasure` read held non-zeros, so
+    only the consumers that need all n^2 entries build rows:
+    :func:`matrix_power` and :func:`worst_case_tv`, :func:`tensor`, the
+    sampler of the mixing study and ``models.save_chain``.
 
     Construction only checks the shape; use :func:`validate` for the
     stochasticity check.  A matrix keeps what its checks learn, so each
     check and scan runs once per matrix, however many callers ask: a pass
     of :func:`validate` at STOCHASTIC_TOL, the irreducibility verdict, and
-    from the first scan of its entries whether it is sparse (fewer than one
-    non-zero in SPARSE_SHARE of its n^2 entries) and, if so, its non-zeros
-    (x, y, P(x, y)) in row-major order.  A dense matrix holds no more than
-    its rows.
+    whether it is sparse.
     """
 
     space: ProductStateSpace
-    rows: np.ndarray
+    rows: np.ndarray = field(repr=False)
     # set by validate once P has passed it at STOCHASTIC_TOL
     _stochastic: bool = field(default=False, init=False, repr=False, compare=False)
     # set by _require_irreducible once P has passed it
     _irreducible: bool = field(default=False, init=False, repr=False, compare=False)
-    # set by _scan: a sparse P's non-zeros, or () for a dense P
+    # a sparse P's non-zeros, set at construction from them or by _scan;
+    # () for a dense P
     _nonzeros: tuple[np.ndarray, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -330,6 +341,53 @@ class TransitionMatrix:
         object.__setattr__(out, "rows", rows)
         return out
 
+    @classmethod
+    def _from_support(cls, space: ProductStateSpace, x: np.ndarray, y: np.ndarray,
+                      p: np.ndarray) -> "TransitionMatrix":
+        """The matrix with the non-zeros ``p`` at ``(x, y)``, in row-major
+        order and without repeats.  A sparse matrix takes the arrays over
+        (they become read-only) and builds no rows; a dense one is stored
+        as the rows they scatter into."""
+        n = space.total
+        if SPARSE_SHARE * len(p) >= n * n:
+            return cls._adopt(space, _scatter(n, x, y, p))
+        out = object.__new__(cls)
+        object.__setattr__(out, "space", space)
+        for arr in (x, y, p):
+            arr.setflags(write=False)
+        object.__setattr__(out, "_nonzeros", (x, y, p))
+        return out
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks: the rows of a
+        # matrix built from its non-zeros, before their first use
+        if name != "rows" or not self._nonzeros:
+            raise AttributeError(name)
+        rows = _scatter(self.space.total, *self._nonzeros)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        return rows
+
+    def at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """P(x, y) at the index arrays ``x`` and ``y`` (broadcast together).
+        A matrix that holds its non-zeros looks each pair up among them
+        (0 where absent); any other reads its rows."""
+        if not self._nonzeros:
+            return self.rows[x, y]
+        xs, ys, p = self._nonzeros
+        n = self.space.total
+        flat = xs * n + ys
+        key = np.asarray(x) * n + np.asarray(y)
+        i = np.minimum(np.searchsorted(flat, key), len(flat) - 1)
+        return np.where(flat[i] == key, p[i], 0.0)
+
+
+def _scatter(n: int, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The n x n array with ``p`` at ``(x, y)`` and zeros elsewhere."""
+    rows = np.zeros((n, n))
+    rows[x, y] = p
+    return rows
+
 
 def validate(P: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> None:
     """Raise :class:`ValidationError` naming the first offending row/entry.
@@ -337,24 +395,33 @@ def validate(P: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> None:
     is not checked again at that tolerance or a looser one."""
     if P._stochastic and tol >= STOCHASTIC_TOL:
         return
-    _check_stochastic(P.rows, tol)
+    _check_stochastic(P, tol)
     if tol <= STOCHASTIC_TOL:
         object.__setattr__(P, "_stochastic", True)
 
 
-def _check_stochastic(rows: np.ndarray, tol: float) -> None:
+def _check_stochastic(P: TransitionMatrix, tol: float) -> None:
+    """Raise for the first entry outside [0, 1] in row-major order, then
+    for the row whose sum is furthest from 1.  A matrix that holds its
+    non-zeros is checked on them, with the bits of ``rows.sum(axis=1)``,
+    so both storage forms raise the same message."""
+    n = P.space.total
+    support = P._nonzeros
+    values = support[2] if support else P.rows.reshape(-1)
     # written so that NaN, for which every comparison is False, fails too
-    bad = np.argwhere(~((rows >= 0) & (rows <= 1)))
+    bad = np.flatnonzero(~((values >= 0) & (values <= 1)))
     if bad.size:
-        x, y = (int(v) for v in bad[0])
-        value = float(rows[x, y])
+        i = int(bad[0])
+        x, y = (int(support[0][i]), int(support[1][i])) if support else divmod(i, n)
+        value = float(values[i])
         problem = "outside [0, 1]" if math.isfinite(value) else "is not finite"
         raise ValidationError(f"entry ({x}, {y}) = {value!r} {problem}")
-    sums = rows.sum(axis=1)
+    sums = _row_sums(*support, n) if support else P.rows.sum(axis=1)
     off = np.abs(sums - 1.0)
     worst = int(np.argmax(off))
     if off[worst] > tol:
-        raise ValidationError(f"row {worst} sums to {sums[worst]!r} (|1 - sum| = {off[worst]:.3e})")
+        raise ValidationError(
+            f"row {worst} sums to {float(sums[worst])!r} (|1 - sum| = {off[worst]:.3e})")
 
 
 def _scan(P: TransitionMatrix) -> tuple[np.ndarray, ...]:
@@ -411,9 +478,18 @@ def _require_irreducible(P: TransitionMatrix) -> None:
     object.__setattr__(P, "_irreducible", True)
 
 
+def _left_product(v: np.ndarray, P: TransitionMatrix) -> np.ndarray:
+    """v P: over P's non-zeros alone, as ``np.bincount(y, v[x] * P(x, y))``,
+    when P holds them, else ``v @ P.rows``."""
+    if not P._nonzeros:
+        return v @ P.rows
+    x, y, p = P._nonzeros
+    return np.bincount(y, v[x] * p, minlength=len(v))
+
+
 def stationary_residual(P: TransitionMatrix, pi: Distribution) -> float:
     """||pi P - pi||_1, the distance of pi from stationarity under P."""
-    return float(np.abs(pi.probs @ P.rows - pi.probs).sum())
+    return float(np.abs(_left_product(pi.probs, P) - pi.probs).sum())
 
 
 def stationary_distribution(
@@ -425,24 +501,17 @@ def stationary_distribution(
 
     The lazy chain shares the stationary distribution and is aperiodic, so
     power iteration converges for any irreducible P.  The residual is
-    measured on the original chain: ||pi P - pi||_1 <= tol.  A dense P is
-    multiplied as ``v @ P.rows``; a sparse one only over its non-zeros, as
-    ``np.bincount(y, v[x] * P(x, y))``.
+    measured on the original chain: ||pi P - pi||_1 <= tol.  A sparse P
+    is multiplied over its non-zeros alone (:func:`_left_product`).
     """
     if max_iters < 1:
         raise ValidationError(f"power iteration needs max_iters >= 1, got {max_iters}")
     validate(P)
     n = P.space.total
-    rows = P.rows
-    _require_irreducible(P)
-    sparse = _sparse_nonzeros(P)
+    _require_irreducible(P)  # which leaves P's non-zeros held if it is sparse
     v = np.full(n, 1.0 / n)
     for _ in range(max_iters):
-        if sparse is None:
-            w = v @ rows
-        else:
-            x, y, p = sparse
-            w = np.bincount(y, v[x] * p, minlength=n)
+        w = _left_product(v, P)
         residual = float(np.abs(w - v).sum())
         if residual <= tol:
             v = w / w.sum()
@@ -483,11 +552,11 @@ def _above_floor(entries: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return entries if keep.all() else tuple(arr[keep] for arr in entries)
 
 
-def weighted_support(mu: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, ...]:
+def weighted_support(mu: np.ndarray, M: TransitionMatrix) -> tuple[np.ndarray, ...]:
     """The entries (x, y) with mu(x) M(x, y) > TERM_FLOOR, in row-major
-    order, with M(x, y) and the weight mu(x) M(x, y) at each."""
-    x, y = np.nonzero(M)
-    m = M[x, y]
+    order, with M(x, y) and the weight mu(x) M(x, y) at each.  A matrix
+    that holds its non-zeros is read from them, any other is scanned."""
+    x, y, m = M._nonzeros or _scan(M)
     return _above_floor((x, y, m, mu[x] * m))
 
 
@@ -563,6 +632,25 @@ def _pairwise_sums(group: np.ndarray, pos: np.ndarray, w: np.ndarray, run: int) 
     return val
 
 
+def _row_sums(x: np.ndarray, y: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """``rows.sum(axis=1)``, bit for bit, of the n x n matrix with the
+    non-zeros ``p`` at ``(x, y)`` in row-major order; 0 for a row without
+    any."""
+    sums = np.zeros(n)
+    if len(p):
+        first = np.ones(len(x), dtype=bool)
+        first[1:] = x[1:] != x[:-1]
+        sums[x[first]] = _pairwise_sums(np.cumsum(first) - 1, y, p, n)
+    return sums
+
+
+def _compact(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A flat array's non-zero cells: int32 ascending indices and values."""
+    # the same indices as np.flatnonzero(e), found about 3x faster
+    index = np.flatnonzero(e != 0.0).astype(np.int32)
+    return index, e[index]
+
+
 class EdgeMeasure:
     """The edge measure pi(x) P(x, y) of a chain, the one object every
     projection of the chain is read from; pi must have full support.
@@ -571,15 +659,18 @@ class EdgeMeasure:
     non-zero in SPARSE_SHARE of its n^2 entries) is held as a read-only
     ``cube`` over ``dims + dims`` (source digits, then target digits),
     reduced with ``cube.sum``, and its support is found on first use.  A
-    sparse P is held as the non-zeros P keeps (one scan per matrix), and
-    no n x n array is built: each reduction adds the non-zeros in the order
-    ``cube.sum`` adds the cube (:func:`_pairwise_sums`), so both forms give
-    the same bits.
+    sparse P is held as the non-zeros P keeps, and no n x n array is
+    built: each reduction adds the non-zeros in the order ``cube.sum``
+    adds the cube (:func:`_pairwise_sums`), so both forms give the same
+    bits.
 
-    Each mask is reduced at most once: the reduction's non-zero entries are
-    kept and later projections are rebuilt from them, with the same bits.
-    The kept entries never take more bytes than the dense cube; past that,
-    reductions are computed and not kept.
+    A reduction gives E_S in compact form: its non-zero cells as int32
+    ascending flat indices and their values (a sparse chain may also keep
+    a cell whose entries sum to 0).  Entropies read the values alone;
+    :meth:`project` and :meth:`keep_in` scatter them into an array.  Each
+    mask is reduced at most once, and the compact forms are kept while
+    they take no more bytes than the dense cube; past that, reductions are
+    computed and not kept.
     """
 
     def __init__(self, P: TransitionMatrix, pi: Distribution):
@@ -614,21 +705,24 @@ class EdgeMeasure:
         self._digits = [(states // math.prod(dims[i + 1:]) % radix).astype(
             np.min_scalar_type(radix - 1)) for i, radix in enumerate(dims)]
 
-    def _reduce(self, mask: SubsetMask) -> np.ndarray:
+    def _reduce(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
         """The one reduction of the edge measure: sum out the digits outside
-        ``mask`` at both endpoints."""
+        ``mask`` at both endpoints, in compact form."""
         if self.cube is None:
             return self._reduce_nonzeros(mask)
         drop = _dropped(mask)
-        return self.cube.sum(axis=drop + tuple(self.space.d + i for i in drop))
+        return _compact(self.cube.sum(axis=drop + tuple(self.space.d + i for i in drop))
+                        .reshape(-1))
 
-    def _reduce_nonzeros(self, mask: SubsetMask) -> np.ndarray:
-        """``cube.sum`` over the dropped digits, bit for bit, from the held
-        non-zeros.  The cube's trailing dropped digits, the target digits
-        past the last kept coordinate, form one run of ``run`` entries,
-        which numpy sums pairwise; each cell adds its runs in row-major
-        order of its other dropped digits.  With no coordinate kept the
-        whole cube is one run."""
+    def _reduce_nonzeros(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
+        """``cube.sum`` over the dropped digits, bit for bit and in compact
+        form, from the held non-zeros.  The cube's trailing dropped digits,
+        the target digits past the last kept coordinate, form one run of
+        ``run`` entries, which numpy sums pairwise; each cell adds its runs
+        in row-major order of its other dropped digits.  With no coordinate
+        kept the whole cube is one run.  Each cell then adds its entries in
+        order, into a dense array when E_S has no more cells than there are
+        entries, else over the distinct cells only."""
         x, y, _, w = self._nonzeros
         dims, n = self.space.dims, self.space.total
         kept = mask.indices()
@@ -645,8 +739,22 @@ class EdgeMeasure:
             first[1:] = run_of[1:] != run_of[:-1]
             w = _pairwise_sums(np.cumsum(first) - 1, flat % run, w, run)
             cell = cell[first]
-        return np.bincount(cell, w, minlength=total_s * total_s).reshape(
-            tuple(dims[i] for i in kept) * 2)
+        if total_s * total_s <= len(cell):
+            return _compact(np.bincount(cell, w, minlength=total_s * total_s))
+        cells, inverse = np.unique(cell, return_inverse=True)
+        return cells.astype(np.int32), np.bincount(inverse, w)
+
+    def _compact_of(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
+        """E_S in compact form for a mask short of the full one, reduced on
+        the first request."""
+        held = self._held.get(mask.bits)
+        if held is None:
+            held = self._reduce(mask)
+            nbytes = held[0].nbytes + held[1].nbytes
+            if self.held_bytes + nbytes <= self._held_cap:
+                self._held[mask.bits] = held
+                self.held_bytes += nbytes
+        return held
 
     def project(self, mask: SubsetMask) -> np.ndarray:
         """E_S(x_S, y_S) = sum of pi(x) P(x, y) over the hidden digits of both
@@ -656,36 +764,27 @@ class EdgeMeasure:
         if mask.d != self.space.d:
             raise ValidationError("mask universe does not match space dimension")
         total_s = math.prod(self.space.dims[i] for i in mask)
-        if mask.size == self.space.d:
-            if self.cube is not None:
-                return self.cube.reshape(total_s, total_s)
-            x, y, _, w = self._nonzeros
-            e = np.zeros(total_s * total_s)
-            e[x * total_s + y] = w
-            return e.reshape(total_s, total_s)
-        held = self._held.get(mask.bits)
-        if held is not None:
-            index, values = held
-            e_s = np.zeros(total_s * total_s)
-            e_s[index] = values
-            return e_s.reshape(total_s, total_s)
-        e_s = self._reduce(mask).reshape(total_s, total_s)
-        # the same indices as np.flatnonzero(e_s), found about 3x faster
-        index = np.flatnonzero(e_s != 0.0).astype(np.int32)
-        values = e_s.reshape(-1)[index]
-        if self.held_bytes + index.nbytes + values.nbytes <= self._held_cap:
-            self._held[mask.bits] = (index, values)
-            self.held_bytes += index.nbytes + values.nbytes
-        return e_s
+        if mask.size < self.space.d:
+            index, values = self._compact_of(mask)
+        elif self.cube is not None:
+            return self.cube.reshape(total_s, total_s)
+        else:
+            x, y, _, values = self._nonzeros
+            index = x * total_s + y
+        e_s = np.zeros(total_s * total_s)
+        e_s[index] = values
+        return e_s.reshape(total_s, total_s)
 
     def weights(self, mask: SubsetMask) -> np.ndarray:
-        """E_S's entries as an entropy reads them, in row-major order: on a
-        sparse chain's full mask only the held non-zeros, otherwise all of
-        ``project(mask)``.  Entries at or below TERM_FLOOR count as zero in
-        both, so they give the same entropy, bit for bit."""
-        if mask.size == self.space.d and self.cube is None:
-            return self._nonzeros[3]
-        return self.project(mask).reshape(-1)
+        """E_S's entries as an entropy reads them, in row-major order: all
+        of them on a dense chain's full mask, otherwise its non-zero cells
+        only.  Entries at or below TERM_FLOOR count as zero in all forms,
+        so each gives the entropy of ``project(mask)``, bit for bit."""
+        if mask.d != self.space.d:
+            raise ValidationError("mask universe does not match space dimension")
+        if mask.size < self.space.d:
+            return self._compact_of(mask)[1]
+        return self._nonzeros[3] if self.cube is None else self.cube.reshape(-1)
 
     def keep_in(self, mask: SubsetMask) -> TransitionMatrix:
         """Keep-``mask``-in matrix ``P_S(x_S, y_S) = E_S(x_S, y_S) / pi_S(x_S)``:
@@ -704,7 +803,7 @@ class EdgeMeasure:
             if self.cube is None:
                 self._support = _above_floor(self._nonzeros)
             else:
-                self._support = weighted_support(self.pi.probs, self.P.rows)
+                self._support = weighted_support(self.pi.probs, self.P)
             for arr in self._support:
                 arr.setflags(write=False)
         return self._support

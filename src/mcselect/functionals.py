@@ -81,7 +81,7 @@ def _support_in(edge: EdgeMeasure, S: SubsetMask, P_S: TransitionMatrix) -> tupl
     full mask, P's support as ``edge`` holds it."""
     if S.size == edge.space.d:
         return edge.support()
-    return weighted_support(marginalize(edge.pi, S).probs, P_S.rows)
+    return weighted_support(marginalize(edge.pi, S).probs, P_S)
 
 
 def _kl(support: tuple, reference: Callable) -> KLResult:
@@ -101,7 +101,7 @@ def entropy_rate(
 ) -> float:
     """Entropy rate -sum_x sum_y pi(x) P(x,y) ln P(x,y) of a stationary chain."""
     assert_stationary(P, pi, stationarity_tol)
-    _, _, p, w = weighted_support(pi.probs, P.rows)
+    _, _, p, w = weighted_support(pi.probs, P)
     return float(-(w * np.log(p)).sum())
 
 
@@ -124,7 +124,7 @@ def kl_rate(M: TransitionMatrix, L: TransitionMatrix, pi: Distribution) -> KLRes
     """
     if M.space.dims != L.space.dims or M.space.dims != pi.space.dims:
         raise ValidationError("M, L, pi must live on the same space")
-    return _kl(weighted_support(pi.probs, M.rows), lambda x, y: L.rows[x, y])
+    return _kl(weighted_support(pi.probs, M), L.at)
 
 
 def block_codes(dims: Sequence[int], groups: Sequence[Sequence[int]]) -> list[np.ndarray]:
@@ -150,7 +150,7 @@ def product_at(
     index, without building it."""
     L = np.ones(np.broadcast_shapes(x.shape, y.shape))
     for F, code in zip(factors, codes):
-        L = L * F.rows[code[x], code[y]]
+        L = L * F.at(code[x], code[y])
     return L
 
 

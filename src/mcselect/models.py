@@ -25,6 +25,7 @@ from .chain_core import (
     TransitionMatrix,
     ValidationError,
     _require_irreducible,
+    _row_sums,
     stationary_distribution,
     stationary_residual,
     validate,
@@ -88,7 +89,9 @@ def curie_weiss_chain(params: CurieWeissParams) -> tuple[TransitionMatrix, Distr
 
     Off-diagonal entries are (1/d) exp(-(H(y) - H(x))_+ / T) for the d
     single-spin flips of x; the diagonal is the complement, which keeps row
-    sums exact to the last ulp sum.
+    sums exact to the last ulp sum.  P is built from its d + 1 entries a
+    row, with the bits the dense rows would have, and holds no n x n array
+    from d = 6 on, where it is sparse.
     """
     d, T = params.d, params.T
     n = 1 << d
@@ -106,19 +109,24 @@ def curie_weiss_chain(params: CurieWeissParams) -> tuple[TransitionMatrix, Distr
     z = math.fsum(weights.tolist())
     pi = Distribution(ProductStateSpace((2,) * d), weights / z)
 
-    rows = np.zeros((n, n))
+    # each row's targets in ascending order: the d flips and x itself
     states = np.arange(n)
-    for coord in range(d):
-        flipped = states ^ (1 << (d - 1 - coord))
-        delta = energies[flipped] - energies
-        rows[states, flipped] = np.exp(-np.maximum(delta, 0.0) / T) / d
-    diag = 1.0 - rows.sum(axis=1)
+    cols = np.concatenate([states[:, None] ^ (1 << (d - 1 - np.arange(d))), states[:, None]],
+                          axis=1)
+    cols.sort(axis=1)
+    x, y = np.repeat(states, d + 1), cols.reshape(-1)
+    diagonal = x == y
+    p = np.exp(-np.maximum(energies[y] - energies[x], 0.0) / T) / d
+    p[diagonal] = 0.0
+    off = p != 0.0
+    diag = 1.0 - _row_sums(x[off], y[off], p[off], n)
     if diag.min() < -1e-15:
         raise ValidationError(f"negative holding probability {diag.min()!r}")
     np.clip(diag, 0.0, None, out=diag)
-    rows[states, states] = diag
+    p[diagonal] = diag
+    nonzero = p != 0.0
 
-    P = TransitionMatrix._adopt(pi.space, rows)
+    P = TransitionMatrix._from_support(pi.space, x[nonzero], y[nonzero], p[nonzero])
     validate(P)
     return P, pi
 

@@ -58,6 +58,16 @@ def naive_kl(M, L, pi):
     return total
 
 
+def naive_weighted_support(mu, rows):
+    """(x, y, M(x, y), mu(x) M(x, y)) at the entries with mu(x) M(x, y) >
+    1e-300, in row-major order, from a scan of the dense rows."""
+    x, y = np.nonzero(rows)
+    m = rows[x, y]
+    w = mu[x] * m
+    keep = w > 1e-300
+    return x[keep], y[keep], m[keep], w[keep]
+
+
 def naive_marginal(pi, dims, keep):
     states = all_states(dims)
     kept_states = all_states([dims[i] for i in keep])

@@ -343,7 +343,7 @@ class TestKlToBlocks:
             blocks = [[SubsetMask.of(3, b) for b in part] for part in partitions]
             with monkeypatch.context() as patch:
                 patch.setattr(EdgeMeasure, "support",
-                              lambda edge: scan(edge.pi.probs, edge.P.rows))
+                              lambda edge: scan(edge.pi.probs, edge.P))
                 fresh = [kl_to_blocks(EdgeMeasure(P, pi), masks, block_order) for masks in blocks]
             scans = []
             with monkeypatch.context() as patch:

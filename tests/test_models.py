@@ -199,6 +199,18 @@ class TestIrreducibility:
         assert len(walks) == 4
 
 
+def support_born(rows):
+    """``rows`` as the top-left block of a 16-state matrix that is the
+    identity elsewhere, built from its non-zeros: sparse, so it holds no
+    rows and is checked on its support."""
+    big = np.eye(16)
+    big[:len(rows), :len(rows)] = rows
+    x, y = np.nonzero(big)
+    P = TransitionMatrix._from_support(ProductStateSpace((2,) * 4), x, y, big[x, y])
+    assert P._nonzeros and "rows" not in vars(P)
+    return P
+
+
 def spy_on_checks(monkeypatch):
     """Record the tolerance of every stochasticity check made."""
     checks = []
@@ -234,25 +246,39 @@ class TestValidatedOnce:
         assert len(checks) == 2
 
     def test_a_failing_matrix_fails_every_time(self, monkeypatch):
-        rows = np.array([[0.5, 0.6], [0.5, 0.5]])
-        P = TransitionMatrix(ProductStateSpace((2,)), rows)
+        self.fails_every_time(monkeypatch, lambda rows: TransitionMatrix(ProductStateSpace((2,)), rows))
+
+    def test_a_failing_support_born_matrix_fails_every_time(self, monkeypatch):
+        self.fails_every_time(monkeypatch, support_born)
+
+    def fails_every_time(self, monkeypatch, matrix):
+        P = matrix(np.array([[0.5, 0.6], [0.5, 0.5]]))
         checks = spy_on_checks(monkeypatch)
         for _ in range(3):
-            with pytest.raises(ValidationError, match="row 0 sums to"):
+            with pytest.raises(ValidationError) as err:
                 validate(P)
+            assert str(err.value) == "row 0 sums to 1.1 (|1 - sum| = 1.000e-01)"
         assert len(checks) == 3
 
     def test_a_pass_counts_for_looser_tolerances_only(self):
+        self.looser_tolerances_only(lambda rows: TransitionMatrix(ProductStateSpace((2,)), rows))
+
+    def test_a_support_born_pass_counts_for_looser_tolerances_only(self):
+        self.looser_tolerances_only(support_born)
+
+    def looser_tolerances_only(self, matrix):
         rows = np.array([[0.5, 0.5 + 5e-10], [0.5, 0.5]])
-        P = TransitionMatrix(ProductStateSpace((2,)), rows)
+        P = matrix(rows)
         validate(P, tol=chain_core.POWER_STOCHASTIC_TOL)
-        with pytest.raises(ValidationError, match="row 0 sums to"):
+        with pytest.raises(ValidationError) as err:
             validate(P)
+        assert str(err.value) == "row 0 sums to 1.0000000005 (|1 - sum| = 5.000e-10)"
         rows[0, 1] = 0.5 + 5e-11
-        P = TransitionMatrix(ProductStateSpace((2,)), rows)
+        P = matrix(rows)
         validate(P)
-        with pytest.raises(ValidationError, match="row 0 sums to"):
+        with pytest.raises(ValidationError) as err:
             validate(P, tol=1e-11)
+        assert str(err.value) == "row 0 sums to 1.00000000005 (|1 - sum| = 5.000e-11)"
 
     def test_matrix_power_checks_its_result(self, monkeypatch, cw4):
         P = cw4[0]

@@ -3,19 +3,26 @@ feasible candidate, satisfies f = g - c - shift exactly and agrees with its
 direct evaluation within the drift tolerance the command line enforces; the
 g of every entry that carries a guarantee passes the exhaustive oracle, and
 the distorted greedy runs meet their certificate; the distance to
-independence obeys the chain rule over a two-block split.  Over random set
+independence obeys the chain rule over a two-block split.  Over random
+sparse and dense matrices, a point lookup reads the rows and every
+reduction of the edge measure scatters to ``cube.sum``.  Over random set
 functions, every failing oracle clause reports its first violation."""
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_naive import random_product_chain, random_reversible_chain
+from mcselect import chain_core
 from mcselect.chain_core import (
+    Distribution,
     EdgeMeasure,
+    ProductStateSpace,
     SubsetMask,
+    TransitionMatrix,
     ValidationError,
     marginalize,
     tensor,
@@ -178,6 +185,73 @@ def test_chain_rule_of_the_distance_to_independence(chain):
     lhs = distance_to_independence(joined, joined_pi, SubsetMask.full(P.space.d))
     rhs = sum(distance_to_independence(P, pi, S) for S in blocks)
     assert abs(lhs - rhs) <= TOL_IDENT
+
+
+@st.composite
+def matrices(draw):
+    """Random stochastic rows on 2..5 coordinates of sizes 2 and 3 with a
+    random share of zero entries (a cycle through every state keeps each
+    row non-empty), a random full-support pi, and a generator."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from((0.0, 0.5, 0.9, 0.99)))
+    n = math.prod(dims)
+    rows = rng.random((n, n)) * (rng.random((n, n)) >= zeros)
+    rows[np.arange(n), (np.arange(n) + 1) % n] += 0.5
+    rows /= rows.sum(axis=1, keepdims=True)
+    weights = rng.random(n) + 0.05
+    space = ProductStateSpace(dims)
+    return space, rows, Distribution(space, weights / weights.sum()), rng
+
+
+def support_born(space, rows):
+    x, y = np.nonzero(rows)
+    return TransitionMatrix._from_support(space, x, y, rows[x, y])
+
+
+@PROPERTY_SETTINGS
+@given(matrices())
+def test_point_lookup_reads_the_rows(chain):
+    """At random pairs, every absent pair among them, and the whole grid:
+    built from the non-zeros, from the rows, and from the rows after a
+    scan that keeps a sparse matrix's non-zeros."""
+    space, rows, _, rng = chain
+    n = space.total
+    absent = np.argwhere(rows == 0.0)[:50].T
+    x = np.concatenate([rng.integers(0, n, 100), absent[0]])
+    y = np.concatenate([rng.integers(0, n, 100), absent[1]])
+    grid = np.arange(n)
+    scanned = TransitionMatrix(space, rows)
+    chain_core._sparse_nonzeros(scanned)
+    born = support_born(space, rows)
+    for P in (born, TransitionMatrix(space, rows), scanned):
+        assert np.array_equal(P.at(x, y), rows[x, y])
+        assert np.array_equal(P.at(grid[:, None], grid[None, :]), rows)
+    assert ("rows" in vars(born)) == (born._nonzeros is None)
+
+
+@PROPERTY_SETTINGS
+@given(matrices(), st.data())
+def test_compact_reduction_scatters_to_cube_sum(chain, data):
+    """The reduction's compact form, int32 ascending cell indices and
+    values, scattered into zeros has the bits of ``cube.sum``; on a dense
+    chain both through the cube and through the support."""
+    space, rows, pi, _ = chain
+    d = space.d
+    S = SubsetMask(data.draw(st.integers(0, 2**d - 2)), d)  # short of the full mask
+    drop = tuple(i for i in range(d) if i not in S)
+    cube = (pi.probs[:, None] * rows).reshape(space.dims * 2)
+    want = cube.sum(axis=drop + tuple(d + i for i in drop)).reshape(-1)
+    em = EdgeMeasure(support_born(space, rows), pi)
+    compacts = [em._reduce(S)]
+    if em.cube is not None:
+        em._hold_nonzeros()
+        compacts.append(em._reduce_nonzeros(S))
+    for index, values in compacts:
+        assert index.dtype == np.int32 and (np.diff(index) > 0).all()
+        got = np.zeros(len(want))
+        got[index] = values
+        assert np.array_equal(got, want)
 
 
 @st.composite

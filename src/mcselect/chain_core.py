@@ -479,11 +479,14 @@ def _require_irreducible(P: TransitionMatrix) -> None:
 
 
 def _left_product(v: np.ndarray, P: TransitionMatrix) -> np.ndarray:
-    """v P: over P's non-zeros alone, as ``np.bincount(y, v[x] * P(x, y))``,
-    when P holds them, else ``v @ P.rows``."""
-    if not P._nonzeros:
+    """v P: over a sparse P's non-zeros alone, as
+    ``np.bincount(y, v[x] * P(x, y))``, else ``v @ P.rows``.  Whether P is
+    sparse is found from its entries, not from whether it was scanned
+    before, so a matrix gives the same bits whatever the order of calls."""
+    sparse = _sparse_nonzeros(P)
+    if sparse is None:
         return v @ P.rows
-    x, y, p = P._nonzeros
+    x, y, p = sparse
     return np.bincount(y, v[x] * p, minlength=len(v))
 
 
@@ -508,7 +511,7 @@ def stationary_distribution(
         raise ValidationError(f"power iteration needs max_iters >= 1, got {max_iters}")
     validate(P)
     n = P.space.total
-    _require_irreducible(P)  # which leaves P's non-zeros held if it is sparse
+    _require_irreducible(P)
     v = np.full(n, 1.0 / n)
     for _ in range(max_iters):
         w = _left_product(v, P)
@@ -744,7 +747,7 @@ class EdgeMeasure:
         cells, inverse = np.unique(cell, return_inverse=True)
         return cells.astype(np.int32), np.bincount(inverse, w)
 
-    def _compact_of(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
+    def _cells(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
         """E_S in compact form for a mask short of the full one, reduced on
         the first request."""
         held = self._held.get(mask.bits)
@@ -765,7 +768,7 @@ class EdgeMeasure:
             raise ValidationError("mask universe does not match space dimension")
         total_s = math.prod(self.space.dims[i] for i in mask)
         if mask.size < self.space.d:
-            index, values = self._compact_of(mask)
+            index, values = self._cells(mask)
         elif self.cube is not None:
             return self.cube.reshape(total_s, total_s)
         else:
@@ -783,7 +786,7 @@ class EdgeMeasure:
         if mask.d != self.space.d:
             raise ValidationError("mask universe does not match space dimension")
         if mask.size < self.space.d:
-            return self._compact_of(mask)[1]
+            return self._cells(mask)[1]
         return self._nonzeros[3] if self.cube is None else self.cube.reshape(-1)
 
     def keep_in(self, mask: SubsetMask) -> TransitionMatrix:

@@ -3,8 +3,7 @@
 ``models.curie_weiss_chain`` builds P from its d + 1 entries a row, and a
 sparse P then holds no n x n array.  Every reader of P must give what it
 gives on the dense-born copy ``TransitionMatrix(P.space, P.rows.copy())``,
-bit for bit, except the stationary residual: the support multiplies with
-``np.bincount`` and the rows with BLAS, which add in different orders.
+bit for bit.
 """
 
 import os
@@ -80,11 +79,16 @@ def test_every_reader_gives_the_bits_of_the_dense_born_copy(d, T, h):
 
 
 @pytest.mark.parametrize("d, T, h", CHAINS)
-def test_stationary_residual_within_1e_15(d, T, h):
-    """Not bit-equal: np.bincount over the support and BLAS over the rows
-    add in different orders."""
+def test_stationary_residual(d, T, h):
+    """Whether P is multiplied over its non-zeros (np.bincount) or its rows
+    (BLAS) follows from its entries, not from how it was built or whether
+    it was scanned before, so both forms give the same bits.  The two
+    products differ by at most 1e-15."""
     P, Q, pi = twins(d, T, h)
-    assert abs(stationary_residual(P, pi) - stationary_residual(Q, pi)) <= 1e-15
+    residual = stationary_residual(P, pi)
+    assert stationary_residual(Q, pi) == residual
+    blas = float(np.abs(pi.probs @ P.rows - pi.probs).sum())
+    assert abs(residual - blas) <= 1e-15
 
 
 @pytest.mark.parametrize("d, T, h", [c for c in CHAINS if c[0] <= 6])

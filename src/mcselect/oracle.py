@@ -1,11 +1,12 @@
-"""Independent brute-force verifiers: exhaustive (super/sub)modularity and
-k-submodularity checks, and the supermodularity/submodularity ratios that
+"""Independent brute-force verifiers: exhaustive submodularity, monotonicity
+and k-submodularity checks, and the supermodularity/submodularity ratios that
 enter the batch-greedy bound.
 
 All guards are hard errors rather than silent truncation: a sampled check is
-not an oracle.  Every check is one scan of (slack, witness) pairs through
-:func:`_verdict`: a failure reports the first violation in scan order, a pass
-the smallest slack and the first witness that reached it.
+not an oracle.  A check evaluates its function once per candidate into a
+float64 table (a non-finite value is an error naming its candidate) and runs
+each clause through :func:`_scan` as numpy arrays, each slack in the operation
+order of its inequality as written, so margins have the bits of a plain scan.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .chain_core import GuardError, SubsetMask, ValidationError
 from .objectives import Parts, parts_below, union_of
@@ -23,6 +26,7 @@ RATIO_FLOOR = 1e-12
 MAX_SUBSET_UNIVERSE = 12
 MAX_K_TUPLES = 2_000_000
 MAX_RATIO_UNIVERSE = 8
+CHUNK = 1 << 16  # scan entries held in memory at once
 
 
 @dataclass(frozen=True)
@@ -51,30 +55,50 @@ class RatioReport:
     gamma_witness: tuple[SubsetMask, SubsetMask] | None
 
 
-def _verdict(slacks: Iterable[tuple[float, object]], tol: float) -> CheckResult:
-    """The first (slack, witness) below -tol, as a failure; or else the
-    smallest slack with the first witness that reached it."""
-    worst, witness = math.inf, None
-    for slack, seen in slacks:
-        if slack < -tol:
-            return CheckResult(False, seen, slack)
-        if slack < worst:
-            worst, witness = slack, seen
-    return CheckResult(True, witness, worst)
+def _table(f: Callable, items: Sequence, what: str) -> np.ndarray:
+    """f at every candidate, in order, as float64."""
+    values = np.fromiter(map(f, items), float, len(items))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"{what}: the value at {items[bad[0]]!r} is {values[bad[0]]}")
+    return values
 
 
-def _subset_values(
-    f: Callable[[SubsetMask], float],
-    ground: SubsetMask,
-    cap: int,
-    what: str,
-) -> tuple[list[SubsetMask], dict[int, float]]:
-    """The subsets of the ground set in counting order and f on each, keyed
-    by bits; guarded by ``cap`` on the ground set's size."""
+def _scan(counts: np.ndarray, entries: Callable, witness: Callable, tol: float) -> CheckResult:
+    """The verdict over the entries (t, r), r < counts[t], in that order, from
+    ``entries(t, r)``: their slacks and the integer arrays ``witness`` reads.
+    The first slack below -tol fails; else the first smallest (never NaN) is reported."""
+    ends = np.cumsum(counts)
+    worst, seen = math.inf, None
+    for start in range(0, int(ends[-1]), CHUNK):
+        flat = np.arange(start, min(start + CHUNK, int(ends[-1])))
+        t = np.searchsorted(ends, flat, side="right")
+        slack, coords = entries(t, flat - ends[t] + counts[t])
+        fail = np.flatnonzero(slack < -tol)
+        low = fail[:1] if fail.size else np.flatnonzero(slack < worst)
+        if low.size:
+            at = low[np.argmin(slack[low])]
+            worst, seen = float(slack[at]), witness(*(int(c[at]) for c in coords))
+            if fail.size:
+                return CheckResult(False, seen, worst)
+    return CheckResult(True, seen, worst)
+
+
+def _pick(flags: list[np.ndarray], r: np.ndarray) -> np.ndarray:
+    """Per entry, the index o of its r-th set flag among flags[0], flags[1], ..."""
+    seen, picked = np.zeros_like(r), np.zeros_like(r)
+    for o, flag in enumerate(flags):
+        picked[flag & (seen == r)] = o
+        seen += flag
+    return picked
+
+
+def _subset_table(f, ground: SubsetMask, cap: int, what: str):
+    """The subsets in counting order (indexed by bit code over the members) and f."""
     if ground.size > cap:
         raise GuardError(f"{what} over 2^{ground.size} subsets exceeds the guard")
     subsets = list(ground.subsets())
-    return subsets, {S.bits: f(S) for S in subsets}
+    return subsets, _table(f, subsets, what)
 
 
 def check_submodular(
@@ -83,20 +107,11 @@ def check_submodular(
     tol: float = SUBMODULARITY_TOL,
 ) -> CheckResult:
     """Exhaustively test f(S) + f(T) >= f(S u T) + f(S n T) - tol."""
-    subsets, values = _subset_values(f, ground, MAX_SUBSET_UNIVERSE, "submodularity check")
-    return _verdict((
-        (values[S.bits] + values[T.bits] - values[S.bits | T.bits] - values[S.bits & T.bits],
-         (S, T))
-        for S, T in itertools.combinations_with_replacement(subsets, 2)
-    ), tol)
-
-
-def check_supermodular(
-    f: Callable[[SubsetMask], float],
-    ground: SubsetMask,
-    tol: float = SUBMODULARITY_TOL,
-) -> CheckResult:
-    return check_submodular(lambda S: -f(S), ground, tol)
+    subsets, v = _subset_table(f, ground, MAX_SUBSET_UNIVERSE, "submodularity check")
+    # the pairs S <= T in counting order: T = S + r
+    return _scan(np.arange(len(subsets), 0, -1),
+                 lambda s, r: (v[s] + v[s + r] - v[s | s + r] - v[s & s + r], (s, s + r)),
+                 lambda s, t: (subsets[s], subsets[t]), tol)
 
 
 def check_monotone(
@@ -106,48 +121,15 @@ def check_monotone(
     tol: float = SUBMODULARITY_TOL,
 ) -> CheckResult:
     """Test every single-element addition marginal for the stated direction."""
-    subsets, values = _subset_values(f, ground, MAX_SUBSET_UNIVERSE, "monotonicity check")
+    subsets, v = _subset_table(f, ground, MAX_SUBSET_UNIVERSE, "monotonicity check")
     sign = 1.0 if nondecreasing else -1.0
-    return _verdict((
-        (sign * (values[S.bits | 1 << e] - values[S.bits]), (S, e))
-        for S in subsets for e in ground - S
-    ), tol)
 
+    def entries(s, r):
+        q = _pick([s >> p & 1 == 0 for p in range(ground.size)], r)
+        return sign * (v[s | 1 << q] - v[s]), (s, q)
 
-def _meet(S: Parts, T: Parts) -> Parts:
-    return tuple(a & b for a, b in zip(S, T))
-
-
-def _join(S: Parts, T: Parts) -> Parts:
-    """Slot-wise unions, minus every element that two slots claim."""
-    unions = [a | b for a, b in zip(S, T)]
-    seen = clash = 0
-    for u in unions:
-        clash |= seen & u.bits
-        seen |= u.bits
-    return tuple(SubsetMask(u.bits & ~clash, u.d) for u in unions)
-
-
-def _grow(parts: Parts, i: int, e: int) -> Parts:
-    return parts[:i] + (parts[i].add(e),) + parts[i + 1 :]
-
-
-def _assigned(pairs: Iterable[tuple[int, int]], k: int, d: int) -> Parts:
-    """The k parts that hold element e in slot j for each (j, e) in pairs."""
-    groups = [0] * k
-    for j, e in pairs:
-        groups[j] |= 1 << e
-    return tuple(SubsetMask(bits, d) for bits in groups)
-
-
-def _all_assignments(ground: SubsetMask, k: int, ceiling: Parts | None = None) -> list[Parts]:
-    if ceiling is not None:
-        # below a pairwise-disjoint ceiling each element has one admissible
-        # slot, so the lattice is the subsets of the ceiling's support
-        return list(parts_below(tuple(cap & ground for cap in ceiling)))
-    elements = ground.indices()
-    return [_assigned(((lab - 1, e) for e, lab in zip(elements, labels) if lab), k, ground.d)
-            for labels in itertools.product(range(k + 1), repeat=len(elements))]
+    return _scan(np.array([ground.size - S.size for S in subsets]), entries,
+                 lambda s, q: (subsets[s], ground.indices()[q]), tol)
 
 
 def check_k_submodular(
@@ -168,48 +150,66 @@ def check_k_submodular(
     if radix ** ground.size > MAX_K_TUPLES:
         raise GuardError(
             f"k-submodularity check over {label}^{ground.size} tuples exceeds the guard")
-    tuples = _all_assignments(ground, k, ceiling)
-    values = {tuple(p.bits for p in parts): F(parts) for parts in tuples}
-    val = lambda parts: values[tuple(p.bits for p in parts)]
+    # a candidate's index has a digit of weight weights[q] per element elems[q],
+    # 0 when it is in no part; ``options`` lists each (q, slot, digit) it may
+    # take, and ``pairs`` the pairs of options of one element, element-major
     if ceiling is not None:
-        slot_of = {e: j for j, cap in enumerate(ceiling) for e in cap}
-        slots_for = lambda e: (slot_of[e],) if e in slot_of else ()
-    else:
-        slots_for = lambda e: range(k)
+        # below a pairwise-disjoint ceiling each element has one admissible
+        # slot: the candidates are the subsets of its support, counting order
+        caps = tuple(cap & ground for cap in ceiling)
+        items, elems = list(parts_below(caps)), union_of(caps).indices()
+        options = [(q, j, 1) for q, e in enumerate(elems) for j, cap in enumerate(caps) if e in cap]
+    else:  # every labelling of the elements, in itertools.product order
+        elems = ground.indices()
+        items = [tuple(SubsetMask.of(ground.d, (e for e, lab in zip(elems, labels) if lab == j))
+                       for j in range(1, k + 1))
+                 for labels in itertools.product(range(k + 1), repeat=len(elems))]
+        options = [(q, j, j + 1) for q in range(len(elems)) for j in range(k)]
+    weights = (radix ** np.arange(len(elems), dtype=np.int64))[::1 if ceiling is not None else -1]
+    v, codes = _table(F, items, "k-submodularity check"), np.arange(len(items))
+    table = np.empty((len(elems), len(items)), np.min_scalar_type(radix))
+    for q, w in enumerate(weights):
+        table[q] = codes // w % radix
+    digits = lambda t: table[:, t]  # row q: digit q of each index in t
+    at_q, at_slot, digit = np.array(options, dtype=np.int64).reshape(-1, 3).T
+    grown = digit * weights[at_q]
+    pairs = np.array([(a, b) for a, b in itertools.combinations(range(len(options)), 2)
+                      if options[a][0] == options[b][0]], dtype=np.int64).reshape(-1, 2)
 
-    lattice = (
-        (val(S) + val(T) - val(_meet(S, T)) - val(_join(S, T)), (S, T))
-        for S, T in itertools.combinations_with_replacement(tuples, 2)
+    def lattice(s, r):
+        t = s + r
+        meet, join = (s & t, s | t) if radix == 2 else (0, 0)  # one slot each: AND, OR
+        for w, a, b in zip(weights, digits(s), digits(t)) if radix > 2 else ():
+            meet = meet + np.where(a == b, a, 0) * w  # slot-wise intersection
+            join = join + np.where(a == 0, b, np.where((b == 0) | (b == a), a, 0)) * w
+        return v[s] + v[t] - v[meet] - v[join], (s, t)
+
+    def orthant(t, r):
+        # each S with S_i within T_i: the assignments of T it keeps, in
+        # (slot, element) order; then each free (element, slot) to grow by
+        free = ((dig := digits(t)) == 0)[at_q]  # the options T leaves open
+        keep, o = np.divmod(r, free.sum(0))
+        o, s, held = _pick(free, o), 0, 0
+        for q, _, d in sorted(options, key=lambda x: (x[1], x[0])):
+            hit = dig[q] == d
+            s = s + np.where(hit & (keep >> held & 1 == 1), d * weights[q], 0)
+            held = held + hit
+        return (v[s + grown[o]] - v[s]) - (v[t + grown[o]] - v[t]), (s, t, at_slot[o], at_q[o])
+
+    def pairwise(s, r):
+        a, b = pairs[_pick((digits(s) == 0)[at_q[pairs[:, 0]]], r)].T
+        slack = (v[s + grown[a]] - v[s]) + (v[s + grown[b]] - v[s])
+        return slack, (s, at_q[a], at_slot[a], at_slot[b])
+
+    free = (table == 0)[at_q]
+    clauses = (
+        (len(codes) - codes, lattice, lambda s, t: (items[s], items[t])),
+        (np.left_shift(1, (table != 0).sum(0)) * free.sum(0), orthant,
+         lambda s, t, i, q: (items[s], items[t], i, elems[q])),
+        (free[pairs[:, 0]].sum(0), pairwise,
+         lambda s, q, i, j: (items[s], elems[q], i, j)),
     )
-
-    def orthant():
-        for T in tuples:
-            supp_t = union_of(T).bits
-            free = [e for e in ground if not supp_t >> e & 1]
-            assigned = [(j, e) for j, part in enumerate(T) for e in part]
-            # every S with S_i subseteq T_i: drop any subset of the assignments
-            for keep_code in range(1 << len(assigned)):
-                S = _assigned((pair for t, pair in enumerate(assigned) if keep_code >> t & 1),
-                              k, ground.d)
-                for e in free:
-                    for i in slots_for(e):
-                        gain_s = val(_grow(S, i, e)) - val(S)
-                        gain_t = val(_grow(T, i, e)) - val(T)
-                        yield gain_s - gain_t, (S, T, i, e)
-
-    def pairwise():
-        for S in tuples:
-            supp = union_of(S).bits
-            base = val(S)
-            for e in ground:
-                if supp >> e & 1:
-                    continue
-                gains = {i: val(_grow(S, i, e)) - base for i in slots_for(e)}
-                for i, j in itertools.combinations(sorted(gains), 2):
-                    yield gains[i] + gains[j], (S, e, i, j)
-
-    return KSubmodularityReport(_verdict(lattice, tol), _verdict(orthant(), tol),
-                                _verdict(pairwise(), tol))
+    return KSubmodularityReport(*(_scan(n, scan, seen, tol) for n, scan, seen in clauses))
 
 
 def ratios(
@@ -219,25 +219,25 @@ def ratios(
 ) -> RatioReport:
     """Exact supermodularity ratio eta_{U,m} and submodularity ratio
     gamma_{U,m} by exhaustive enumeration; 0/0 pairs are skipped."""
-    subsets, values = _subset_values(f, ground, MAX_RATIO_UNIVERSE, "ratio computation")
+    subsets, v = _subset_table(f, ground, MAX_RATIO_UNIVERSE, "ratio computation")
     if m < 1:
         raise ValidationError("ratios need a cardinality constraint m >= 1")
-    pairs = []  # (S, T, f(S u T) - f(S), sum of the singleton gains of T at S)
-    for S in subsets:
-        base = values[S.bits]
-        rest = ground - S
-        singles = {e: values[S.bits | 1 << e] - base for e in rest}
-        for T in rest.subsets():
-            if not 1 <= T.size <= m:
-                continue
-            joint = values[S.bits | T.bits] - base
-            split = sum(singles[e] for e in T)
-            if abs(joint) < RATIO_FLOOR and abs(split) < RATIO_FLOOR:
-                continue
-            pairs.append((S, T, joint, split))
-    # the smallest ratio and its first witness: a verdict that never fails
-    eta = _verdict(((joint / split if split != 0.0 else math.inf, (S, T))
-                    for S, T, joint, split in pairs), math.inf)
-    gamma = _verdict(((split / joint if joint != 0.0 else math.inf, (S, T))
-                      for S, T, joint, split in pairs), math.inf)
+
+    def entries(s, r, num):
+        """T, the r-th subset of the rest in counting order; f(S u T) - f(S)
+        and the singleton gains of T at S summed left to right, in a ratio."""
+        t, split, seen = 0, 0.0, 0
+        for q in range(ground.size):
+            free = s >> q & 1 == 0
+            take = free & (r >> seen & 1 == 1)
+            t, seen = t | np.where(take, 1 << q, 0), seen + free
+            split = np.where(take, split + (v[s | 1 << q] - v[s]), split)
+        terms, size = (v[s | t] - v[s], split), sum(t >> q & 1 for q in range(ground.size))
+        flat = (abs(terms[0]) < RATIO_FLOOR) & (abs(split) < RATIO_FLOOR)
+        ok = (1 <= size) & (size <= m) & ~flat & (terms[1 - num] != 0.0)
+        return np.where(ok, terms[num] / np.where(ok, terms[1 - num], 1.0), math.inf), (s, t)
+
+    counts = np.array([1 << (ground.size - S.size) for S in subsets])
+    eta, gamma = (_scan(counts, lambda s, r: entries(s, r, num),
+                        lambda s, t: (subsets[s], subsets[t]), math.inf) for num in (0, 1))
     return RatioReport(eta.margin, gamma.margin, eta.witness, gamma.witness)

@@ -12,10 +12,23 @@ import numpy as np
 
 from mcselect.chain_core import (
     Distribution,
+    GuardError,
     ProductStateSpace,
     SubsetMask,
     TransitionMatrix,
+    ValidationError,
     stationary_distribution,
+)
+from mcselect.objectives import parts_below, union_of
+from mcselect.oracle import (
+    MAX_K_TUPLES,
+    MAX_RATIO_UNIVERSE,
+    MAX_SUBSET_UNIVERSE,
+    RATIO_FLOOR,
+    SUBMODULARITY_TOL,
+    CheckResult,
+    KSubmodularityReport,
+    RatioReport,
 )
 
 
@@ -182,3 +195,154 @@ def random_product_chain(rng, dims):
 
 def mask_of(d, coords):
     return SubsetMask.of(d, coords)
+
+
+# -- the oracle's checks as generator scans over Python objects ---------------
+# Each yields (slack, witness) pairs in the order mcselect.oracle scans its
+# entries and computes every slack with the same operations, so verdicts,
+# margins (to the bit) and witnesses must agree with the library's.
+
+
+def naive_verdict(slacks, tol):
+    """The first (slack, witness) below -tol, as a failure; or else the
+    smallest slack with the first witness that reached it."""
+    worst, witness = math.inf, None
+    for slack, seen in slacks:
+        if slack < -tol:
+            return CheckResult(False, seen, slack)
+        if slack < worst:
+            worst, witness = slack, seen
+    return CheckResult(True, witness, worst)
+
+
+def _naive_subset_values(f, ground, cap, what):
+    if ground.size > cap:
+        raise GuardError(f"{what} over 2^{ground.size} subsets exceeds the guard")
+    subsets = list(ground.subsets())
+    return subsets, {S.bits: f(S) for S in subsets}
+
+
+def naive_check_submodular(f, ground, tol=SUBMODULARITY_TOL):
+    subsets, values = _naive_subset_values(f, ground, MAX_SUBSET_UNIVERSE, "submodularity check")
+    return naive_verdict((
+        (values[S.bits] + values[T.bits] - values[S.bits | T.bits] - values[S.bits & T.bits],
+         (S, T))
+        for S, T in itertools.combinations_with_replacement(subsets, 2)
+    ), tol)
+
+
+def check_supermodular(f, ground, tol=SUBMODULARITY_TOL):
+    """f is supermodular when -f is submodular."""
+    return naive_check_submodular(lambda S: -f(S), ground, tol)
+
+
+def naive_check_monotone(f, ground, nondecreasing=True, tol=SUBMODULARITY_TOL):
+    subsets, values = _naive_subset_values(f, ground, MAX_SUBSET_UNIVERSE, "monotonicity check")
+    sign = 1.0 if nondecreasing else -1.0
+    return naive_verdict((
+        (sign * (values[S.bits | 1 << e] - values[S.bits]), (S, e))
+        for S in subsets for e in ground - S
+    ), tol)
+
+
+def _naive_meet(S, T):
+    return tuple(a & b for a, b in zip(S, T))
+
+
+def _naive_join(S, T):
+    """Slot-wise unions, minus every element that two slots claim."""
+    unions = [a | b for a, b in zip(S, T)]
+    seen = clash = 0
+    for u in unions:
+        clash |= seen & u.bits
+        seen |= u.bits
+    return tuple(SubsetMask(u.bits & ~clash, u.d) for u in unions)
+
+
+def _naive_grow(parts, i, e):
+    return parts[:i] + (parts[i].add(e),) + parts[i + 1:]
+
+
+def _naive_assigned(pairs, k, d):
+    groups = [0] * k
+    for j, e in pairs:
+        groups[j] |= 1 << e
+    return tuple(SubsetMask(bits, d) for bits in groups)
+
+
+def naive_check_k_submodular(F, ground, k, tol=SUBMODULARITY_TOL, ceiling=None):
+    """Lattice, orthant and pairwise clauses over dicts keyed by the parts'
+    bits; below a ceiling the lattice is the subsets of its support."""
+    radix, label = (2, "2") if ceiling is not None else (k + 1, "(k+1)")
+    if radix ** ground.size > MAX_K_TUPLES:
+        raise GuardError(
+            f"k-submodularity check over {label}^{ground.size} tuples exceeds the guard")
+    if ceiling is not None:
+        tuples = list(parts_below(tuple(cap & ground for cap in ceiling)))
+        slot_of = {e: j for j, cap in enumerate(ceiling) for e in cap}
+        slots_for = lambda e: (slot_of[e],) if e in slot_of else ()
+    else:
+        elements = ground.indices()
+        tuples = [_naive_assigned(((lab - 1, e) for e, lab in zip(elements, labels) if lab),
+                                  k, ground.d)
+                  for labels in itertools.product(range(k + 1), repeat=len(elements))]
+        slots_for = lambda e: range(k)
+    values = {tuple(p.bits for p in parts): F(parts) for parts in tuples}
+    val = lambda parts: values[tuple(p.bits for p in parts)]
+
+    lattice = (
+        (val(S) + val(T) - val(_naive_meet(S, T)) - val(_naive_join(S, T)), (S, T))
+        for S, T in itertools.combinations_with_replacement(tuples, 2)
+    )
+
+    def orthant():
+        for T in tuples:
+            supp_t = union_of(T).bits
+            free = [e for e in ground if not supp_t >> e & 1]
+            assigned = [(j, e) for j, part in enumerate(T) for e in part]
+            for keep_code in range(1 << len(assigned)):
+                S = _naive_assigned(
+                    (pair for t, pair in enumerate(assigned) if keep_code >> t & 1), k, ground.d)
+                for e in free:
+                    for i in slots_for(e):
+                        gain_s = val(_naive_grow(S, i, e)) - val(S)
+                        gain_t = val(_naive_grow(T, i, e)) - val(T)
+                        yield gain_s - gain_t, (S, T, i, e)
+
+    def pairwise():
+        for S in tuples:
+            supp = union_of(S).bits
+            base = val(S)
+            for e in ground:
+                if supp >> e & 1:
+                    continue
+                gains = {i: val(_naive_grow(S, i, e)) - base for i in slots_for(e)}
+                for i, j in itertools.combinations(sorted(gains), 2):
+                    yield gains[i] + gains[j], (S, e, i, j)
+
+    return KSubmodularityReport(naive_verdict(lattice, tol), naive_verdict(orthant(), tol),
+                                naive_verdict(pairwise(), tol))
+
+
+def naive_ratios(f, ground, m):
+    subsets, values = _naive_subset_values(f, ground, MAX_RATIO_UNIVERSE, "ratio computation")
+    if m < 1:
+        raise ValidationError("ratios need a cardinality constraint m >= 1")
+    pairs = []
+    for S in subsets:
+        base = values[S.bits]
+        rest = ground - S
+        singles = {e: values[S.bits | 1 << e] - base for e in rest}
+        for T in rest.subsets():
+            if not 1 <= T.size <= m:
+                continue
+            joint = values[S.bits | T.bits] - base
+            split = sum(singles[e] for e in T)
+            if abs(joint) < RATIO_FLOOR and abs(split) < RATIO_FLOOR:
+                continue
+            pairs.append((S, T, joint, split))
+    eta = naive_verdict(((joint / split if split != 0.0 else math.inf, (S, T))
+                         for S, T, joint, split in pairs), math.inf)
+    gamma = naive_verdict(((split / joint if joint != 0.0 else math.inf, (S, T))
+                           for S, T, joint, split in pairs), math.inf)
+    return RatioReport(eta.margin, gamma.margin, eta.witness, gamma.witness)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import mcselect.functionals as fn
-from helpers_naive import random_product_chain, random_reversible_chain
+from helpers_naive import check_supermodular, random_product_chain, random_reversible_chain
 from mcselect.chain_core import (
     Distribution,
     EdgeMeasure,
@@ -51,7 +51,6 @@ from mcselect.oracle import (
     check_k_submodular,
     check_monotone,
     check_submodular,
-    check_supermodular,
     ratios,
 )
 

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers_naive import check_supermodular
 from mcselect.chain_core import SubsetMask
 from mcselect.cli import main
 from mcselect.models import load_chain
@@ -41,7 +42,6 @@ from mcselect.oracle import (
     check_k_submodular,
     check_monotone,
     check_submodular,
-    check_supermodular,
     ratios,
 )
 

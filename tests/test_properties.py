@@ -270,8 +270,13 @@ def _grown(parts, i, e):
 
 
 def scans(d, k, F):
-    """Each clause's (slack, witness) pairs in the order the oracle scans."""
+    """Each clause's (slack, witness) pairs in the order the oracle scans;
+    the k-submodularity clauses also below a ceiling V that puts element e
+    in slot (-1 - e) mod k, so slot order runs against element order, and
+    leaves element 2 out of every cap."""
     ground = SubsetMask.full(d)
+    caps = tuple(SubsetMask.of(d, (e for e in range(min(d, 2)) if (-1 - e) % k == j))
+                 for j in range(k))
     f = lambda S: F((S,))
     subsets = list(ground.subsets())
     tuples = [tuple(SubsetMask.of(d, (e for e in range(d) if labels[e] == j + 1))
@@ -287,36 +292,50 @@ def scans(d, k, F):
         return tuple(SubsetMask.of(d, (e for e in u if sum(e in w for w in unions) == 1))
                      for u in unions)
 
-    def orthant():
+    def slots(e, capped):
+        return [i for i in range(k) if not capped or e in caps[i]]
+
+    def orthant(tuples, capped):
         for T in tuples:
             assigned = [(j, e) for j, part in enumerate(T) for e in part]
             for keep in itertools.product((False, True), repeat=len(assigned)):
                 kept = [a for a, flag in zip(assigned, reversed(keep)) if flag]
                 S = tuple(SubsetMask.of(d, (e for j, e in kept if j == i)) for i in range(k))
                 for e in ground - union(T):
-                    for i in range(k):
+                    for i in slots(e, capped):
                         gain_s = F(_grown(S, i, e)) - F(S)
                         gain_t = F(_grown(T, i, e)) - F(T)
                         yield gain_s - gain_t, (S, T, i, e)
 
-    def pairwise():
+    def pairwise(tuples, capped):
         for S in tuples:
             for e in ground - union(S):
-                for i, j in itertools.combinations(range(k), 2):
+                for i, j in itertools.combinations(slots(e, capped), 2):
                     yield (F(_grown(S, i, e)) - F(S)) + (F(_grown(S, j, e)) - F(S)), (S, e, i, j)
 
+    def lattice(tuples):
+        return ((F(S) + F(T) - F(meet(S, T)) - F(join(S, T)), (S, T))
+                for S, T in itertools.combinations_with_replacement(tuples, 2))
+
+    # the partitions below V: each subset of its support, in counting order
+    support = [e for cap in caps for e in cap]
+    below = [tuple(cap & SubsetMask.of(d, (e for t, e in enumerate(sorted(support))
+                                            if code >> t & 1)) for cap in caps)
+             for code in range(1 << len(support))]
     report = check_k_submodular(F, ground, k)
+    capped = check_k_submodular(F, ground, k, ceiling=caps)
     return {
         "submodular": (check_submodular(f, ground), (
             (f(S) + f(T) - f(S | T) - f(S & T), (S, T))
             for S, T in itertools.combinations_with_replacement(subsets, 2))),
         "monotone": (check_monotone(f, ground), (
             (f(S.add(e)) - f(S), (S, e)) for S in subsets for e in ground - S)),
-        "lattice": (report.lattice, (
-            (F(S) + F(T) - F(meet(S, T)) - F(join(S, T)), (S, T))
-            for S, T in itertools.combinations_with_replacement(tuples, 2))),
-        "orthant": (report.orthant, orthant()),
-        "pairwise": (report.pairwise_monotone, pairwise()),
+        "lattice": (report.lattice, lattice(tuples)),
+        "orthant": (report.orthant, orthant(tuples, False)),
+        "pairwise": (report.pairwise_monotone, pairwise(tuples, False)),
+        "lattice below V": (capped.lattice, lattice(below)),
+        "orthant below V": (capped.orthant, orthant(below, True)),
+        "pairwise below V": (capped.pairwise_monotone, pairwise(below, True)),
     }
 
 

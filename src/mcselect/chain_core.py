@@ -14,15 +14,11 @@ Conventions used throughout the library:
   marked read-only, so they can be shared freely.
 * A sparse transition matrix built from its non-zeros is stored as those
   alone, any other as its n x n rows (see :class:`TransitionMatrix`).
-* On Linux, importing the library holds the C allocator's mmap threshold at
-  128 KiB (see :func:`_hold_mmap_threshold`).
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -46,35 +42,6 @@ TERM_FLOOR = 1e-300
 # 5 to 20 ns per cube entry and the support reduction 60 to 150 ns per
 # non-zero, so they break even at a density between about 1/30 and 1/4.
 SPARSE_SHARE = 8
-
-# mallopt parameter number (glibc malloc.h) and the value it is held at:
-# glibc's own default threshold.
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD = 128 * 1024
-
-
-def _hold_mmap_threshold() -> None:
-    """Keep the C allocator's mmap threshold at 128 KiB.
-
-    glibc raises the threshold to the size of every larger block it frees,
-    up to 32 MiB.  Once the first dense d=10 cube (8 MiB) is freed, later
-    cubes, projections and memo arrays all live in the heap, which gives
-    memory back only from its top, so the peak resident size depends on the
-    order of earlier allocations: 60.6 to 67.3 MiB for the same paper-suite
-    sweeps.  A threshold set by ``mallopt`` stays put: every array of
-    128 KiB or more is mapped on its own and returned when freed.  Where
-    there is no ``mallopt`` (not glibc or musl) nothing changes.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-
-
-_hold_mmap_threshold()
 
 
 class ValidationError(ValueError):
@@ -123,25 +90,6 @@ class ProductStateSpace:
     @property
     def total(self) -> int:
         return math.prod(self.dims)
-
-    def index_of(self, state: Sequence[int]) -> int:
-        if len(state) != self.d:
-            raise ValidationError(f"state has {len(state)} digits, expected {self.d}")
-        idx = 0
-        for digit, n in zip(state, self.dims):
-            if not 0 <= digit < n:
-                raise ValidationError(f"digit {digit} out of range [0, {n})")
-            idx = idx * n + digit
-        return idx
-
-    def state_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.total:
-            raise ValidationError(f"index {index} out of range [0, {self.total})")
-        digits = []
-        for n in reversed(self.dims):
-            index, r = divmod(index, n)
-            digits.append(r)
-        return tuple(reversed(digits))
 
     def subspace(self, mask: "SubsetMask") -> "ProductStateSpace":
         if mask.d != self.d:
@@ -244,14 +192,6 @@ class SubsetMask:
     def isdisjoint(self, other: "SubsetMask") -> bool:
         self._check(other)
         return self.bits & other.bits == 0
-
-    def relabel_within(self, outer: "SubsetMask") -> "SubsetMask":
-        """Re-express this subset of ``outer`` in the compact indexing of the
-        projected space on ``outer`` (ascending original order)."""
-        if not self.issubset(outer):
-            raise ValidationError("mask is not contained in the outer mask")
-        positions = {coord: pos for pos, coord in enumerate(outer.indices())}
-        return SubsetMask.of(outer.size, (positions[i] for i in self))
 
     def __repr__(self) -> str:
         return f"SubsetMask({set(self.indices()) or '{}'}, d={self.d})"

@@ -188,15 +188,9 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def svg_line_chart(
-    series: dict[str, list[tuple[float, float]]],
-    title: str,
-    path: str,
-    width: int = 640,
-    height: int = 420,
-) -> None:
+def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str, path: str) -> None:
     """Minimal deterministic SVG polyline chart over (x, y) series."""
-    pad = 50.0
+    width, height, pad = 640, 420, 50.0
     points = [p for pts in series.values() for p in pts]
     if not points:
         Path(path).write_text("<svg xmlns='http://www.w3.org/2000/svg'/>\n")

@@ -210,12 +210,6 @@ def distance_to_factorizability(P: TransitionMatrix, pi: Distribution, S: Subset
     return kl_to_blocks(EdgeMeasure(P, pi), (S, S.complement()))
 
 
-def stationary_kernel(pi: Distribution) -> TransitionMatrix:
-    """The rank-one kernel whose every row is pi."""
-    n = pi.space.total
-    return TransitionMatrix(pi.space, np.tile(pi.probs, (n, 1)))
-
-
 def distance_to_stationarity(P: TransitionMatrix, pi: Distribution, S: SubsetMask) -> float:
     """D(P_S || Pi_S) where Pi_S has every row equal to pi_S."""
     assert_stationary(P, pi)

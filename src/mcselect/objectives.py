@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -101,11 +101,11 @@ class Partition:
         return union_of(self.parts)
 
 
-def is_product_form(pi: Distribution, tol: float = PRODUCT_FORM_TOL) -> bool:
+def is_product_form(pi: Distribution) -> bool:
     d = pi.space.d
     factors = [marginalize(pi, SubsetMask.of(d, (i,))) for i in range(d)]
     product = tensor_dist(factors)
-    return float(np.abs(product.probs - pi.probs).sum()) <= tol
+    return float(np.abs(product.probs - pi.probs).sum()) <= PRODUCT_FORM_TOL
 
 
 class Workspace:
@@ -200,7 +200,6 @@ class ObjectiveDecomposition:
     min_support: int | None = None
     max_support: int | None = None
     notes: tuple[str, ...] = ()
-    workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
     def penalty(self, key) -> float:
         """Modular weight of one element (slot-element pair for partitions)."""
@@ -507,7 +506,6 @@ def _build(
         min_support=row.min_support(ws.d, k) if row.min_support else None,
         max_support=row.max_support(ws.d, k) if row.max_support else None,
         notes=notes,
-        workspace=ws,
     )
 
 

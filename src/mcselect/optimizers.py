@@ -27,7 +27,7 @@ from .objectives import ObjectiveDecomposition, Partition, Parts, parts_below, u
 CERT_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryStep:
     iteration: int
     element: int

@@ -197,6 +197,19 @@ def mask_of(d, coords):
     return SubsetMask.of(d, coords)
 
 
+def relabel_within(inner, outer):
+    """``inner``, a subset of ``outer``, in the compact indexing of the
+    projected space on ``outer`` (ascending original order)."""
+    assert inner.issubset(outer)
+    positions = {coord: pos for pos, coord in enumerate(outer.indices())}
+    return SubsetMask.of(outer.size, (positions[i] for i in inner))
+
+
+def stationary_kernel(pi):
+    """The rank-one kernel whose every row is pi."""
+    return TransitionMatrix(pi.space, np.tile(pi.probs, (pi.space.total, 1)))
+
+
 # -- the oracle's checks as generator scans over Python objects ---------------
 # Each yields (slack, witness) pairs in the order mcselect.oracle scans its
 # entries and computes every slack with the same operations, so verdicts,

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers_naive import random_reversible_chain, stationary_kernel
 from mcselect.cli import main, mcmc_study, parse_ceiling, parse_coords
-from mcselect.functionals import stationary_kernel
 from mcselect.models import save_chain
 
 SPARSE_CHAIN = Path(__file__).parent / "data" / "cw6_unsolved.json"
@@ -345,7 +345,6 @@ class TestMcmc:
         assert 0.0 <= summary["worst_tv_factorized"] <= 1.0
 
     def test_stationary_kernel_has_flat_curves(self, rng):
-        from helpers_naive import random_reversible_chain
         from mcselect.chain_core import SubsetMask, marginalize, tensor_dist
 
         _, pi = random_reversible_chain(rng, (2, 2, 2))
@@ -398,7 +397,6 @@ class TestMcmc:
         """On mixed-radix chains, at every split, the factorized distance and
         the sampled distances equal those of np.kron's tensor product with
         its axes transposed back to the chain's coordinate order."""
-        from helpers_naive import random_reversible_chain
         from mcselect.chain_core import EdgeMeasure, SubsetMask, matrix_power, tensor
 
         P, pi = random_reversible_chain(rng, dims)

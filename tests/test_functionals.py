@@ -13,6 +13,7 @@ from helpers_naive import (
     naive_tensor,
     random_chain,
     random_reversible_chain,
+    stationary_kernel,
 )
 from mcselect import chain_core
 from mcselect.chain_core import (
@@ -36,7 +37,6 @@ from mcselect.functionals import (
     kl_to_blocks,
     kl_to_stationary,
     shannon_entropy,
-    stationary_kernel,
 )
 from mcselect.objectives import Workspace
 

@@ -610,7 +610,7 @@ class EdgeMeasure:
     A reduction gives E_S in compact form: its non-zero cells as int32
     ascending flat indices and their values (a sparse chain may also keep
     a cell whose entries sum to 0).  Entropies read the values alone;
-    :meth:`project` and :meth:`keep_in` scatter them into an array.  Each
+    :meth:`keep_in` scatters them into an array.  Each
     mask is reduced at most once, and the compact forms are kept while
     they take no more bytes than the dense cube; past that, reductions are
     computed and not kept.
@@ -699,30 +699,11 @@ class EdgeMeasure:
                 self.held_bytes += nbytes
         return held
 
-    def project(self, mask: SubsetMask) -> np.ndarray:
-        """E_S(x_S, y_S) = sum of pi(x) P(x, y) over the hidden digits of both
-        endpoints, as a ``(total_S, total_S)`` array with row sums pi_S.
-        On a dense chain the full mask is a read-only view of the cube; any
-        other result is a fresh array that the caller owns."""
-        if mask.d != self.space.d:
-            raise ValidationError("mask universe does not match space dimension")
-        total_s = math.prod(self.space.dims[i] for i in mask)
-        if mask.size < self.space.d:
-            index, values = self._cells(mask)
-        elif self.cube is not None:
-            return self.cube.reshape(total_s, total_s)
-        else:
-            x, y, _, values = self._nonzeros
-            index = x * total_s + y
-        e_s = np.zeros(total_s * total_s)
-        e_s[index] = values
-        return e_s.reshape(total_s, total_s)
-
     def weights(self, mask: SubsetMask) -> np.ndarray:
         """E_S's entries as an entropy reads them, in row-major order: all
         of them on a dense chain's full mask, otherwise its non-zero cells
         only.  Entries at or below TERM_FLOOR count as zero in all forms,
-        so each gives the entropy of ``project(mask)``, bit for bit."""
+        so each gives the entropy of the full array E_S, bit for bit."""
         if mask.d != self.space.d:
             raise ValidationError("mask universe does not match space dimension")
         if mask.size < self.space.d:
@@ -731,12 +712,17 @@ class EdgeMeasure:
 
     def keep_in(self, mask: SubsetMask) -> TransitionMatrix:
         """Keep-``mask``-in matrix ``P_S(x_S, y_S) = E_S(x_S, y_S) / pi_S(x_S)``:
-        the hidden coordinates averaged under pi.  The full mask gives P."""
+        the hidden coordinates averaged under pi, with E_S's cells scattered
+        into a fresh ``(total_S, total_S)`` array.  The full mask gives P."""
         if mask.size == self.space.d:
             return self.P
-        e_s = self.project(mask)
+        space = self.space.subspace(mask)  # checks the mask's universe
+        index, values = self._cells(mask)
+        e_s = np.zeros(space.total * space.total)
+        e_s[index] = values
+        e_s = e_s.reshape(space.total, space.total)
         e_s /= e_s.sum(axis=1)[:, None]
-        return TransitionMatrix._adopt(self.space.subspace(mask), e_s)
+        return TransitionMatrix._adopt(space, e_s)
 
     def support(self) -> tuple[np.ndarray, ...]:
         """P's support weighted by pi, ``weighted_support(pi, P)``: read-only

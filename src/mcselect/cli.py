@@ -112,10 +112,7 @@ def _batch_plan(spec: str, m: int) -> list[int]:
         sizes = [int(tok) for tok in spec.split(",")]
     except ValueError as err:
         raise click.UsageError(f"bad batch sizes {spec!r}: {err}") from err
-    if sum(sizes) != m:
-        raise click.UsageError(f"batch sizes {sizes} sum to {sum(sizes)}, expected m={m}")
-    if any(q <= 0 for q in sizes):
-        raise click.UsageError(f"batch sizes {sizes} must be positive")
+    optimizers.check_batch_sizes(sizes, m)
     return sizes
 
 
@@ -150,9 +147,9 @@ def _plan(dec: objectives.ObjectiveDecomposition, algorithm: str, ms: Sequence[i
     try:
         for m in ms:
             dec.validate_m(m)
+        return [(m, _batch_plan(batch_spec, m) if algorithm == "batch" else None) for m in ms]
     except ValidationError as err:
         raise click.UsageError(str(err)) from err
-    return [(m, _batch_plan(batch_spec, m) if algorithm == "batch" else None) for m in ms]
 
 
 @contextmanager
@@ -256,7 +253,7 @@ def run_selection(
         start = time.perf_counter()
         result = search(dec, m, epsilon, plan)
         if oracle:
-            result = result.with_certificate(optimizers.certify(dec, m, result))
+            result = dataclasses.replace(result, certificate=optimizers.certify(dec, m, result))
         elapsed = time.perf_counter() - start
 
         chosen = result.chosen
@@ -435,7 +432,6 @@ def main() -> None:
               help='Partition ceiling, e.g. "1,2,3,4|5,6,7|8,9,10" (1-based).')
 @click.option("--W", "fixed_spec", default=None,
               help='Fixed coordinate block for dist2fact-fixed, e.g. "1,2,3".')
-@click.option("--beta", type=float, default=None, help="Override the catalog beta constant.")
 @click.option("--epsilon", type=float, default=0.1, show_default=True)
 @click.option("--batch-sizes", default="ones", show_default=True,
               help='Batch plan: "ones", "pairs", or literal sizes like "2,2,1".')
@@ -449,7 +445,7 @@ def main() -> None:
 @click.option("--out", type=click.Path(), default=None, help="CSV output path (default stdout).")
 @click.option("--svg", type=click.Path(), default=None, help="Optional SVG chart path.")
 def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, m_max,
-               ceiling_spec, fixed_spec, beta, epsilon, batch_sizes, heuristic, block_order,
+               ceiling_spec, fixed_spec, epsilon, batch_sizes, heuristic, block_order,
                oracle, out, svg) -> None:
     """Select coordinate subsets or partitions over a range of budgets."""
     if oracle and out is None:
@@ -463,15 +459,15 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
                 raise click.UsageError(f"problem {problem} needs --V")
             caps = parse_ceiling(ceiling_spec, d)
             dec = objectives.build_partition_objective(
-                problem, P, pi, caps, beta=beta, heuristic=heuristic, block_order=block_order)
+                problem, P, pi, caps, heuristic=heuristic, block_order=block_order)
         elif problem == "dist2fact-fixed":
             if fixed_spec is None:
                 raise click.UsageError("dist2fact-fixed needs --W")
             dec = objectives.build_subset_objective(
-                problem, P, pi, W=parse_coords(fixed_spec, d), beta=beta, heuristic=heuristic)
+                problem, P, pi, W=parse_coords(fixed_spec, d), heuristic=heuristic)
         else:
             dec = objectives.build_subset_objective(
-                problem, P, pi, beta=beta, heuristic=heuristic, block_order=block_order)
+                problem, P, pi, heuristic=heuristic, block_order=block_order)
 
         ms = range(m, (m_max if m_max is not None else m) + 1)
         rows = run_selection(dec, algorithm, ms, epsilon=epsilon,

@@ -18,8 +18,8 @@ ceiling ``(ground,)`` and weights keyed by element; only ``dist2stat`` and
 ``dist2fact-fixed`` have no twin.
 
 The beta constant shifts g and c equally, so it never affects optimizer
-trajectories; it only enters the reported bound certificates.  Defaults take
-the admissibility bound with equality, the tightest choice that keeps c
+trajectories; it only enters the reported bound certificates.  It is the
+row's admissibility bound (or 0), the tightest choice that keeps c
 non-negative.  Optimizers consume c through its per-element weights.
 """
 
@@ -97,9 +97,6 @@ class Partition:
     def d(self) -> int:
         return self.parts[0].d
 
-    def support(self) -> SubsetMask:
-        return union_of(self.parts)
-
 
 def is_product_form(pi: Distribution) -> bool:
     d = pi.space.d
@@ -175,6 +172,16 @@ class Workspace:
         return self.kl_to_blocks((block.remove(e), self.single(e)))
 
 
+def check_budget(m: int, ground: SubsetMask, constraint: str) -> None:
+    """A cardinality budget m over ``ground`` under "le" or "eq"."""
+    if m < 0:
+        raise ValidationError("cardinality constraint must be non-negative")
+    if m > ground.size:
+        raise ValidationError(f"budget m={m} exceeds the ground set of size {ground.size}")
+    if constraint not in ("le", "eq"):
+        raise ValidationError(f"unknown constraint {constraint!r}")
+
+
 @dataclass(frozen=True)
 class ObjectiveDecomposition:
     """A problem instance f = g - c with reporting metadata.
@@ -229,8 +236,7 @@ class ObjectiveDecomposition:
         return tuple(SubsetMask.empty(self.ground.d) for _ in self.ceiling)
 
     def validate_m(self, m: int) -> None:
-        if m < 0:
-            raise ValidationError("cardinality constraint must be non-negative")
+        check_budget(m, self.ground, self.constraint)
         if self.min_support is not None and m < self.min_support:
             raise ValidationError(
                 f"{self.problem_id} requires m >= {self.min_support}, got {m}"
@@ -239,23 +245,6 @@ class ObjectiveDecomposition:
             raise ValidationError(
                 f"{self.problem_id} requires m <= {self.max_support}, got {m}"
             )
-        if m > self.ground.size:
-            raise ValidationError(f"budget m={m} exceeds the ground set of size {self.ground.size}")
-
-
-def _require_product_form(pi: Distribution, problem_id: str, heuristic: bool) -> tuple[str, ...]:
-    if is_product_form(pi):
-        return ()
-    if not heuristic:
-        raise ValidationError(
-            f"{problem_id} requires a product-form stationary distribution; "
-            "pass heuristic=True to run without the approximation guarantee"
-        )
-    return ("pi is not of product form; run is heuristic, no bound applies",)
-
-
-def _direct_entropy_rate(edge: EdgeMeasure, mask: SubsetMask) -> float:
-    return functionals.keep_in_entropy_rate(edge, mask)
 
 
 def _direct_indp(ws: Workspace, parts: Parts) -> float:
@@ -313,9 +302,9 @@ class Criterion:
 
     ``direct(ws, caps, parts)`` evaluates f from the defining divergences,
     and ``weight(ws, caps, j, e, value)`` is the modular weight of element e
-    in slot j.  ``beta`` is "zero" (fixed at 0), "nonpositive" (default 0)
-    or a function (ws, caps) -> admissibility bound, which is then also the
-    default; ``subset_beta`` replaces it in the k=1 subset view.
+    in slot j.  ``beta(ws, caps)`` is the admissibility bound that beta
+    takes, or None for beta = 0; ``subset_beta`` False makes the k=1 subset
+    view take beta = 0.
     ``product_form`` is "required", or "heuristic" when a non-product pi is
     allowed under ``heuristic=True``.  The support bounds take (d, k).
     """
@@ -324,8 +313,8 @@ class Criterion:
     direct: Callable
     weight: Callable | None = None
     form: str = "f+c"
-    beta: str | Callable = "zero"
-    subset_beta: str | None = None
+    beta: Callable | None = None
+    subset_beta: bool = True
     constraint: str = "le"
     report_sign: float = 1.0
     product_form: str | None = None
@@ -337,7 +326,8 @@ class Criterion:
 CRITERIA: dict[str, Criterion] = {
     "k-entropy": Criterion(
         value=lambda ws, caps, parts: sum(ws.entropy_rate(part) for part in parts),
-        direct=lambda ws, caps, parts: sum(_direct_entropy_rate(ws.edge, part) for part in parts),
+        direct=lambda ws, caps, parts: sum(
+            functionals.keep_in_entropy_rate(ws.edge, part) for part in parts),
         weight=lambda ws, caps, j, e, value: (
             ws.entropy_rate(caps[j].remove(e)) - ws.entropy_rate(caps[j])),
         beta=lambda ws, caps: -sum(math.log(ws.space.dims[e]) for cap in caps for e in cap),
@@ -346,7 +336,8 @@ CRITERIA: dict[str, Criterion] = {
         # H(pi_S x P_S), the edge-measure entropy of the projected chain
         value=lambda ws, caps, parts: sum(
             ws.entropy_rate(part) + ws.entropy_pi(part) for part in parts),
-        direct=lambda ws, caps, parts: sum(_direct_entropy_rate(ws.edge, part) for part in parts),
+        direct=lambda ws, caps, parts: sum(
+            functionals.keep_in_entropy_rate(ws.edge, part) for part in parts),
         weight=lambda ws, caps, j, e, value: functionals.shannon_entropy(
             marginalize(ws.pi, ws.single(e))),
         form="g",
@@ -360,14 +351,13 @@ CRITERIA: dict[str, Criterion] = {
         beta=lambda ws, caps: -sum(
             ws.entropy_rate(union_of(caps).complement()) + ws.entropy_rate(ws.single(e))
             for cap in caps for e in cap),
-        subset_beta="nonpositive",
+        subset_beta=False,
         block_order=True,
     ),
     "k-dist2indp": Criterion(
         value=lambda ws, caps, parts: -sum(ws.dist_to_independence(part) for part in parts),
         direct=lambda ws, caps, parts: -_direct_indp(ws, parts),
         weight=lambda ws, caps, j, e, value: ws.split_divergence(caps[j], e),
-        beta="nonpositive",
         constraint="eq",
         report_sign=-1.0,
         min_support=lambda d, k: k + 1,
@@ -387,7 +377,6 @@ CRITERIA: dict[str, Criterion] = {
             functionals.kl_to_stationary(ws.edge, part) for part in parts),
         weight=lambda ws, caps, j, e, value: (
             ws.split_divergence(caps[j], e) + ws.dist_to_stationarity(ws.single(e))),
-        beta="nonpositive",
         constraint="eq",
         report_sign=-1.0,
         product_form="heuristic",
@@ -441,7 +430,6 @@ def _build(
     ws: Workspace,
     caps: Parts,
     *,
-    beta: float | None,
     heuristic: bool,
     block_order: bool,
 ) -> ObjectiveDecomposition:
@@ -449,10 +437,14 @@ def _build(
     itself, or for a subset problem its one-part view keyed by element."""
     row = CRITERIA[SUBSET_ROWS[problem_id] if kind == "subset" else problem_id]
     notes: tuple[str, ...] = ()
-    if row.product_form == "required" and not is_product_form(ws.pi):
-        raise ValidationError(f"{problem_id} requires a product-form stationary distribution")
-    if row.product_form == "heuristic":
-        notes = _require_product_form(ws.pi, problem_id, heuristic)
+    if row.product_form is not None and not is_product_form(ws.pi):
+        message = f"{problem_id} requires a product-form stationary distribution"
+        if row.product_form == "required":
+            raise ValidationError(message)
+        if not heuristic:
+            raise ValidationError(
+                f"{message}; pass heuristic=True to run without the approximation guarantee")
+        notes = ("pi is not of product form; run is heuristic, no bound applies",)
 
     if block_order:
         notes = ("block-order indexing of the factorized reference kernel "
@@ -462,18 +454,9 @@ def _build(
         value = functools.partial(row.value, ws, caps)
         direct = functools.partial(row.direct, ws, caps)
 
-    rule = row.subset_beta if kind == "subset" and row.subset_beta else row.beta
-    if rule == "zero":
-        beta, c_const = 0.0, 0.0
-    else:
-        bound = 0.0 if rule == "nonpositive" else rule(ws, caps)
-        beta = bound if beta is None else beta
-        if beta > bound + 1e-12:
-            raise ValidationError(
-                f"beta must be <= 0 for {problem_id}" if rule == "nonpositive"
-                else f"beta must be <= {bound} to keep c non-negative"
-            )
-        c_const = -beta
+    bounded = row.beta is not None and (kind == "partition" or row.subset_beta)
+    beta = row.beta(ws, caps) if bounded else 0.0
+    c_const = -beta
 
     weights = {} if row.weight is None else {
         (j, e): row.weight(ws, caps, j, e, value) for j, cap in enumerate(caps) for e in cap
@@ -514,7 +497,6 @@ def build_subset_objective(
     P: TransitionMatrix,
     pi: Distribution,
     *,
-    beta: float | None = None,
     W: SubsetMask | None = None,
     heuristic: bool = False,
     block_order: bool = False,
@@ -532,7 +514,7 @@ def build_subset_objective(
         if W.d != ws.d:
             raise ValidationError("W lives in the wrong universe")
         ground = W.complement()
-    return _build(problem_id, "subset", ws, (ground,), beta=beta, heuristic=heuristic,
+    return _build(problem_id, "subset", ws, (ground,), heuristic=heuristic,
                   block_order=block_order)
 
 
@@ -542,7 +524,6 @@ def build_partition_objective(
     pi: Distribution,
     V: Sequence[SubsetMask] | Partition,
     *,
-    beta: float | None = None,
     heuristic: bool = False,
     block_order: bool = False,
     workspace: Workspace | None = None,
@@ -556,5 +537,5 @@ def build_partition_objective(
     ws = workspace if workspace is not None else Workspace(P, pi)
     if caps[0].d != ws.d:
         raise ValidationError("ceiling lives in the wrong universe")
-    return _build(problem_id, "partition", ws, caps, beta=beta, heuristic=heuristic,
+    return _build(problem_id, "partition", ws, caps, heuristic=heuristic,
                   block_order=block_order)

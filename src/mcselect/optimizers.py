@@ -16,13 +16,13 @@ also ends on objectives that are zero or negative.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .chain_core import GuardError, SubsetMask, ValidationError
-from .objectives import ObjectiveDecomposition, Partition, Parts, parts_below, union_of
+from .objectives import (
+    ObjectiveDecomposition, Partition, Parts, check_budget, parts_below, union_of)
 
 CERT_SLACK = 1e-9
 
@@ -55,17 +55,13 @@ class RunResult:
     trajectory: tuple[TrajectoryStep, ...]
     certificate: Certificate | None = None
 
-    def with_certificate(self, certificate: Certificate) -> "RunResult":
-        return dataclasses.replace(self, certificate=certificate)
 
-
-def _check_budget(m: int, ground: SubsetMask, constraint: str) -> None:
-    if m < 0:
-        raise ValidationError("cardinality budget must be non-negative")
-    if m > ground.size:
-        raise ValidationError(f"budget m={m} exceeds the ground set of size {ground.size}")
-    if constraint not in ("le", "eq"):
-        raise ValidationError(f"unknown constraint {constraint!r}")
+def check_batch_sizes(sizes: Sequence[int], m: int) -> None:
+    """Batch sizes must be positive and sum to the budget m."""
+    if sum(sizes) != m:
+        raise ValidationError(f"batch sizes {sizes} sum to {sum(sizes)}, expected m={m}")
+    if any(q <= 0 for q in sizes):
+        raise ValidationError(f"batch sizes {sizes} must be positive")
 
 
 def _scan(
@@ -125,7 +121,7 @@ def greedy(
     element is added only if its marginal gain is strictly positive (and the
     run stops early once it is not, since nothing changes afterwards).
     """
-    _check_budget(m, ground, constraint)
+    check_budget(m, ground, constraint)
     (S,), steps = _scan(lambda parts: f(parts[0]), (ground,), constraint, [(1.0, 1)] * m,
                         lambda j, e: 0.0, slotted=False)
     return RunResult(S, f(S), steps)
@@ -136,7 +132,7 @@ def distorted_greedy(dec: ObjectiveDecomposition, m: int) -> RunResult:
     (1 - 1/m)^(m-(i+1)) (g(S + e) - g(S)) - c({e})."""
     if dec.kind != "subset":
         raise ValidationError("distorted_greedy expects a subset decomposition")
-    _check_budget(m, dec.ground, dec.constraint)
+    check_budget(m, dec.ground, dec.constraint)
     (S,), steps = _scan(lambda parts: dec.g(parts[0]), (dec.ground,), dec.constraint,
                         _distortion(m), lambda j, e: dec.penalty(e), slotted=False)
     return RunResult(S, dec.f(S), steps)
@@ -147,7 +143,7 @@ def generalized_distorted_greedy(dec: ObjectiveDecomposition, m: int) -> RunResu
     over pairs (slot j, element e in V_j minus S_j)."""
     if dec.kind != "partition":
         raise ValidationError("generalized_distorted_greedy expects a partition decomposition")
-    _check_budget(m, dec.ground, dec.constraint)
+    check_budget(m, dec.ground, dec.constraint)
     parts, steps = _scan(dec.g, dec.ceiling, dec.constraint, _distortion(m),
                          lambda j, e: dec.penalty((j, e)), slotted=True)
     return RunResult(Partition(parts, dec.ceiling), dec.f(parts), steps)
@@ -219,11 +215,8 @@ def batch_greedy(
     """Batch greedy for a monotone set function with f(empty) = 0: each step
     adds the batch of elements with the top singleton incremental gains."""
     sizes = [int(q) for q in batch_sizes]
-    if sum(sizes) != m:
-        raise ValidationError(f"batch sizes {sizes} sum to {sum(sizes)}, expected m={m}")
-    if any(q <= 0 for q in sizes):
-        raise ValidationError("batch sizes must be positive")
-    _check_budget(m, ground, "eq")
+    check_batch_sizes(sizes, m)
+    check_budget(m, ground, "eq")
     base = f(SubsetMask.empty(ground.d))
     if abs(base) > 1e-9:
         raise ValidationError(f"batch greedy requires f(empty) = 0, got {base!r}")

@@ -205,6 +205,16 @@ def relabel_within(inner, outer):
     return SubsetMask.of(outer.size, (positions[i] for i in inner))
 
 
+def edge_projection(em, S):
+    """E_S as a ``(total_S, total_S)`` array: the edge measure's compact
+    cells for S scattered into zeros."""
+    total_s = math.prod(em.space.dims[i] for i in S)
+    index, values = em._cells(S)
+    e_s = np.zeros(total_s * total_s)
+    e_s[index] = values
+    return e_s.reshape(total_s, total_s)
+
+
 def stationary_kernel(pi):
     """The rank-one kernel whose every row is pi."""
     return TransitionMatrix(pi.space, np.tile(pi.probs, (pi.space.total, 1)))

@@ -173,11 +173,12 @@ class TestSelect:
         assert result.exit_code == 0, result.output
         assert len(parse_csv(result.output)) == 1
 
-    def test_select_has_no_seed(self):
+    @pytest.mark.parametrize("flag", ["--seed", "--beta"])
+    def test_select_has_no_removed_flag(self, flag):
         result = CliRunner().invoke(main, ["select", "--problem", "entropy", "--d", "4",
-                                           "--seed", "1"])
+                                           flag, "1"])
         assert result.exit_code == 2
-        assert "--seed" in result.output
+        assert flag in result.output
 
     def test_flags_are_checked_before_the_first_search(self, monkeypatch, cw4):
         import click
@@ -194,10 +195,10 @@ class TestSelect:
         assert calls == []
 
     def test_drift_is_model_error(self, monkeypatch):
-        from mcselect import objectives
+        from mcselect import functionals
 
-        exact = objectives._direct_entropy_rate
-        monkeypatch.setattr(objectives, "_direct_entropy_rate",
+        exact = functionals.keep_in_entropy_rate
+        monkeypatch.setattr(functionals, "keep_in_entropy_rate",
                             lambda edge, mask: exact(edge, mask) + 1e-6)
         result = CliRunner().invoke(main, ["select", "--problem", "entropy", "--d", "4",
                                            "--m", "1"])
@@ -247,24 +248,23 @@ class TestSelect:
         check, each mask is reduced from the cube once."""
         from mcselect.chain_core import EdgeMeasure
 
-        projected, reduced = set(), []
-        project, reduce = EdgeMeasure.project, EdgeMeasure._reduce
+        requested, reduced = set(), []
+        cells, reduce = EdgeMeasure._cells, EdgeMeasure._reduce
 
-        def spy_project(edge, mask):
-            if mask.size < mask.d:  # the full mask is a view of the cube
-                projected.add(mask.bits)
-            return project(edge, mask)
+        def spy_cells(edge, mask):
+            requested.add(mask.bits)
+            return cells(edge, mask)
 
         def spy_reduce(edge, mask):
             reduced.append(mask.bits)
             return reduce(edge, mask)
 
-        monkeypatch.setattr(EdgeMeasure, "project", spy_project)
+        monkeypatch.setattr(EdgeMeasure, "_cells", spy_cells)
         monkeypatch.setattr(EdgeMeasure, "_reduce", spy_reduce)
         result = run_cli(["select", *args, "--d", "8", "--m", "1", "--m-max", "8"])
         assert result.exit_code == 0, result.output
-        assert len(reduced) == len(projected) > 8
-        assert set(reduced) == projected
+        assert len(reduced) == len(requested) > 8
+        assert set(reduced) == requested
 
     def test_missing_chain_file_is_model_error(self, tmp_path):
         result = CliRunner().invoke(main, [

@@ -11,6 +11,7 @@ from mcselect.objectives import (
     build_partition_objective,
     build_subset_objective,
     is_product_form,
+    union_of,
 )
 
 GENERAL_SUBSET_IDS = ("entropy", "dist2fact", "dist2indp", "dist2indp-complement",
@@ -53,7 +54,7 @@ class TestPartitionType:
 
     def test_support(self):
         part = Partition((SubsetMask.of(4, (0,)), SubsetMask.of(4, (2, 3))))
-        assert part.support().indices() == (0, 2, 3)
+        assert union_of(part.parts).indices() == (0, 2, 3)
 
 
 class TestProductFormDetection:
@@ -175,11 +176,6 @@ class TestBuildErrors:
         with pytest.raises(ValidationError, match="unknown"):
             build_subset_objective("no-such-problem", P, pi)
 
-    def test_beta_above_bound(self, rng):
-        P, pi = random_reversible_chain(rng, (2, 2))
-        with pytest.raises(ValidationError, match="beta"):
-            build_subset_objective("entropy", P, pi, beta=0.5)
-
     def test_product_form_required(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2))
         with pytest.raises(ValidationError, match="product"):
@@ -241,7 +237,7 @@ class TestMonotonicityOfG:
             for _ in range(40):
                 parts = random_parts(rng, caps)
                 base = dec.g(parts)
-                support = Partition(parts).support()
+                support = union_of(parts)
                 for j, cap in enumerate(caps):
                     for e in cap - parts[j]:
                         if e in support:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcselect import chain_core
-from helpers_naive import naive_weighted_support
+from helpers_naive import edge_projection, naive_weighted_support
 from mcselect.chain_core import (
     EdgeMeasure,
     ProductStateSpace,
@@ -184,7 +184,7 @@ def test_sparse_chain_allocates_no_n_by_n_array(cw8):
                  traced_peak(lambda: em.weights(full))]
         for S in full.subsets():
             if S != full:
-                peaks.append(traced_peak(lambda: em.project(S)))
+                peaks.append(traced_peak(lambda: edge_projection(em, S)))
         ws = Workspace(P, pi)
         peaks.append(traced_peak(lambda: ws.entropy_rate(full)))
     finally:

@@ -490,17 +490,14 @@ def marginalize(dist: Distribution, mask: SubsetMask) -> Distribution:
     return Distribution(space.subspace(mask), out.reshape(-1))
 
 
-def _above_floor(entries: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    keep = entries[3] > TERM_FLOOR
-    return entries if keep.all() else tuple(arr[keep] for arr in entries)
-
-
 def weighted_support(mu: np.ndarray, M: TransitionMatrix) -> tuple[np.ndarray, ...]:
     """The entries (x, y) with mu(x) M(x, y) > TERM_FLOOR, in row-major
     order, with M(x, y) and the weight mu(x) M(x, y) at each.  A matrix
     that holds its non-zeros is read from them, any other is scanned."""
     x, y, m = M._nonzeros or _scan(M)
-    return _above_floor((x, y, m, mu[x] * m))
+    w = mu[x] * m
+    keep = w > TERM_FLOOR
+    return (x, y, m, w) if keep.all() else tuple(arr[keep] for arr in (x, y, m, w))
 
 
 # numpy's float64 add.reduce sums a contiguous run by pairwise summation
@@ -714,9 +711,9 @@ class EdgeMeasure:
         """Keep-``mask``-in matrix ``P_S(x_S, y_S) = E_S(x_S, y_S) / pi_S(x_S)``:
         the hidden coordinates averaged under pi, with E_S's cells scattered
         into a fresh ``(total_S, total_S)`` array.  The full mask gives P."""
+        space = self.space.subspace(mask)  # checks the mask's universe
         if mask.size == self.space.d:
             return self.P
-        space = self.space.subspace(mask)  # checks the mask's universe
         index, values = self._cells(mask)
         e_s = np.zeros(space.total * space.total)
         e_s[index] = values
@@ -726,13 +723,9 @@ class EdgeMeasure:
 
     def support(self) -> tuple[np.ndarray, ...]:
         """P's support weighted by pi, ``weighted_support(pi, P)``: read-only
-        arrays (x, y, P(x, y), pi(x) P(x, y)).  A sparse chain reads it
-        from its held non-zeros; a dense one scans P on the first call."""
+        arrays (x, y, P(x, y), pi(x) P(x, y)), found on the first call."""
         if self._support is None:
-            if self.cube is None:
-                self._support = _above_floor(self._nonzeros)
-            else:
-                self._support = weighted_support(self.pi.probs, self.P)
+            self._support = weighted_support(self.pi.probs, self.P)
             for arr in self._support:
                 arr.setflags(write=False)
         return self._support

@@ -270,18 +270,12 @@ def run_selection(
 
 
 def selection_csv(dec: objectives.ObjectiveDecomposition, rows: list[SelectionRow]) -> str:
-    lines = []
-    if dec.kind == "subset":
-        lines.append("m,subset,value")
-        for row in rows:
-            lines.append(f"{row.m},{format_subset(row.chosen)},{_fmt(row.value)}")
-    else:
-        k = len(dec.ceiling)
-        header = ",".join(f"part{j + 1}" for j in range(k))
-        lines.append(f"m,{header},value")
-        for row in rows:
-            parts = ",".join(format_subset(p) for p in row.chosen.parts)
-            lines.append(f"{row.m},{parts},{_fmt(row.value)}")
+    subset = dec.kind == "subset"
+    header = "subset" if subset else ",".join(f"part{j + 1}" for j in range(len(dec.ceiling)))
+    lines = [f"m,{header},value"]
+    for row in rows:
+        parts = ",".join(format_subset(p) for p in ((row.chosen,) if subset else row.chosen.parts))
+        lines.append(f"{row.m},{parts},{_fmt(row.value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -451,6 +445,10 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
     if oracle and out is None:
         raise click.UsageError("--oracle needs --out: the certificates go to a JSON "
                                "file beside the CSV")
+    try:
+        objectives.check_block_order(problem, block_order)
+    except ValidationError as err:
+        raise click.UsageError(f"--block-order: {err}") from err
     with exit_codes():
         P, pi = _load_model(model, chain_file, d, temperature, field)
         d = P.space.d
@@ -464,7 +462,8 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
             if fixed_spec is None:
                 raise click.UsageError("dist2fact-fixed needs --W")
             dec = objectives.build_subset_objective(
-                problem, P, pi, W=parse_coords(fixed_spec, d), heuristic=heuristic)
+                problem, P, pi, W=parse_coords(fixed_spec, d), heuristic=heuristic,
+                block_order=block_order)
         else:
             dec = objectives.build_subset_objective(
                 problem, P, pi, heuristic=heuristic, block_order=block_order)

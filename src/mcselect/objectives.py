@@ -90,10 +90,6 @@ class Partition:
                     raise ValidationError("partition exceeds its ceiling")
 
     @property
-    def k(self) -> int:
-        return len(self.parts)
-
-    @property
     def d(self) -> int:
         return self.parts[0].d
 
@@ -122,6 +118,7 @@ class Workspace:
         self.d = P.space.d
         self._H_edge: dict[int, float] = {0: 0.0}
         self._H_pi: dict[int, float] = {0: 0.0}
+        self._KL_block: dict[tuple[int, ...], float] = {}
 
     def full(self) -> SubsetMask:
         return SubsetMask.full(self.d)
@@ -129,22 +126,32 @@ class Workspace:
     def single(self, e: int) -> SubsetMask:
         return SubsetMask.of(self.d, (e,))
 
+    def _key(self, mask: SubsetMask) -> int:
+        """The cache key of a mask, checked first to live in the chain's universe."""
+        if mask.d != self.d:
+            raise ValidationError("mask universe does not match space dimension")
+        return mask.bits
+
     def _edge_entropy(self, mask: SubsetMask) -> float:
-        cached = self._H_edge.get(mask.bits)
-        if cached is not None:
-            return cached
-        value = functionals.shannon_entropy(self.edge.weights(mask))
-        self._H_edge[mask.bits] = value
-        return value
+        key = self._key(mask)
+        if key not in self._H_edge:
+            self._H_edge[key] = functionals.shannon_entropy(self.edge.weights(mask))
+        return self._H_edge[key]
 
     def entropy_pi(self, mask: SubsetMask) -> float:
         """H(pi_S)."""
-        cached = self._H_pi.get(mask.bits)
-        if cached is not None:
-            return cached
-        value = functionals.shannon_entropy(marginalize(self.pi, mask))
-        self._H_pi[mask.bits] = value
-        return value
+        key = self._key(mask)
+        if key not in self._H_pi:
+            self._H_pi[key] = functionals.shannon_entropy(marginalize(self.pi, mask))
+        return self._H_pi[key]
+
+    def block_order_kl(self, blocks: Sequence[SubsetMask]) -> float:
+        """``functionals.kl_to_blocks(edge, blocks, block_order=True)``, which
+        has no entropy form, cached per tuple of blocks."""
+        key = tuple(self._key(block) for block in blocks)
+        if key not in self._KL_block:
+            self._KL_block[key] = functionals.kl_to_blocks(self.edge, blocks, block_order=True)
+        return self._KL_block[key]
 
     def entropy_rate(self, mask: SubsetMask) -> float:
         """H(P_S) = H(pi_S x P_S) - H(pi_S)."""
@@ -256,38 +263,11 @@ def _factor_blocks(parts: Parts) -> Parts:
     return tuple(parts) + (union_of(parts).complement(),)
 
 
-def _dist2fact(ws: Workspace, caps: Parts, parts: Parts) -> float:
-    return ws.kl_to_blocks(_factor_blocks(parts))
-
-
 def _dist2fact_fixed(ws: Workspace, caps: Parts, parts: Parts) -> float:
     (S,), (ground,) = parts, caps
     if not S.issubset(ground):
         raise ValidationError("S overlaps the fixed set W")
     return ws.dist_to_factorizability_fixed(ground.complement(), S)
-
-
-def _block_order_dist2fact(ws: Workspace) -> tuple[Callable, Callable]:
-    """Cached and direct dist2fact with the factorized reference kernel
-    indexed in block order: the groups first, the remainder last.  It
-    differs from the realigned kernel whenever the concatenated block order
-    is not the ascending coordinate order; the block-order variant is what
-    the reference experiment values for the factorizability problems were
-    computed with."""
-
-    def direct(parts: Parts) -> float:
-        return functionals.kl_to_blocks(ws.edge, _factor_blocks(parts), block_order=True)
-
-    cache: dict[tuple[int, ...], float] = {}
-
-    def cached(parts: Parts) -> float:
-        key = tuple(p.bits for p in parts)
-        value = cache.get(key)
-        if value is None:
-            value = cache[key] = direct(parts)
-        return value
-
-    return cached, direct
 
 
 @dataclass(frozen=True)
@@ -307,6 +287,7 @@ class Criterion:
     view take beta = 0.
     ``product_form`` is "required", or "heuristic" when a non-product pi is
     allowed under ``heuristic=True``.  The support bounds take (d, k).
+    ``block_order`` is the (value, direct) pair read under ``block_order=True``.
     """
 
     value: Callable
@@ -320,7 +301,7 @@ class Criterion:
     product_form: str | None = None
     min_support: Callable[[int, int], int] | None = None
     max_support: Callable[[int, int], int] | None = None
-    block_order: bool = False
+    block_order: tuple[Callable, Callable] | None = None
 
 
 CRITERIA: dict[str, Criterion] = {
@@ -344,7 +325,7 @@ CRITERIA: dict[str, Criterion] = {
         product_form="required",
     ),
     "k-dist2fact": Criterion(
-        value=_dist2fact,
+        value=lambda ws, caps, parts: ws.kl_to_blocks(_factor_blocks(parts)),
         direct=lambda ws, caps, parts: functionals.kl_to_blocks(ws.edge, _factor_blocks(parts)),
         weight=lambda ws, caps, j, e, value: (
             value(caps[:j] + (caps[j].remove(e),) + caps[j + 1:]) - value(caps)),
@@ -352,7 +333,12 @@ CRITERIA: dict[str, Criterion] = {
             ws.entropy_rate(union_of(caps).complement()) + ws.entropy_rate(ws.single(e))
             for cap in caps for e in cap),
         subset_beta=False,
-        block_order=True,
+        # the reference values of the factorizability experiments use this form
+        block_order=(
+            lambda ws, caps, parts: ws.block_order_kl(_factor_blocks(parts)),
+            lambda ws, caps, parts: functionals.kl_to_blocks(
+                ws.edge, _factor_blocks(parts), block_order=True),
+        ),
     ),
     "k-dist2indp": Criterion(
         value=lambda ws, caps, parts: -sum(ws.dist_to_independence(part) for part in parts),
@@ -424,6 +410,12 @@ SUBSET_PROBLEMS = tuple(SUBSET_ROWS)
 PARTITION_PROBLEMS = tuple(pid for pid in CRITERIA if pid.startswith("k-"))
 
 
+def check_block_order(problem_id: str, block_order: bool) -> None:
+    """``block_order`` only on a row that has a block-order form."""
+    if block_order and CRITERIA[SUBSET_ROWS.get(problem_id, problem_id)].block_order is None:
+        raise ValidationError(f"{problem_id} has no block-order form; dist2fact and k-dist2fact do")
+
+
 def _build(
     problem_id: str,
     kind: str,
@@ -436,6 +428,7 @@ def _build(
     """Read one catalog row on the ceiling ``caps``: the partition problem
     itself, or for a subset problem its one-part view keyed by element."""
     row = CRITERIA[SUBSET_ROWS[problem_id] if kind == "subset" else problem_id]
+    check_block_order(problem_id, block_order)
     notes: tuple[str, ...] = ()
     if row.product_form is not None and not is_product_form(ws.pi):
         message = f"{problem_id} requires a product-form stationary distribution"
@@ -446,13 +439,12 @@ def _build(
                 f"{message}; pass heuristic=True to run without the approximation guarantee")
         notes = ("pi is not of product form; run is heuristic, no bound applies",)
 
+    value_of, direct_of = row.block_order if block_order else (row.value, row.direct)
     if block_order:
         notes = ("block-order indexing of the factorized reference kernel "
                  "(selected blocks first, not realigned)",)
-        value, direct = _block_order_dist2fact(ws)
-    else:
-        value = functools.partial(row.value, ws, caps)
-        direct = functools.partial(row.direct, ws, caps)
+    value = functools.partial(value_of, ws, caps)
+    direct = functools.partial(direct_of, ws, caps)
 
     bounded = row.beta is not None and (kind == "partition" or row.subset_beta)
     beta = row.beta(ws, caps) if bounded else 0.0
@@ -504,8 +496,6 @@ def build_subset_objective(
 ) -> ObjectiveDecomposition:
     if problem_id not in SUBSET_PROBLEMS:
         raise ValidationError(f"unknown subset problem id {problem_id!r}")
-    if block_order and not CRITERIA[SUBSET_ROWS[problem_id]].block_order:
-        raise ValidationError("block_order applies only to dist2fact")
     ws = workspace if workspace is not None else Workspace(P, pi)
     ground = ws.full()
     if problem_id == "dist2fact-fixed":
@@ -530,8 +520,6 @@ def build_partition_objective(
 ) -> ObjectiveDecomposition:
     if problem_id not in PARTITION_PROBLEMS:
         raise ValidationError(f"unknown partition problem id {problem_id!r}")
-    if block_order and not CRITERIA[problem_id].block_order:
-        raise ValidationError("block_order applies only to k-dist2fact")
     caps: Parts = tuple(V.parts if isinstance(V, Partition) else V)
     Partition(caps)  # checks pairwise disjointness
     ws = workspace if workspace is not None else Workspace(P, pi)

@@ -485,6 +485,12 @@ class TestEdgeMeasure:
         em = EdgeMeasure(P, pi)
         assert em.keep_in(SubsetMask.full(2)) is P
 
+    def test_keep_in_checks_the_universe_of_a_full_sized_mask(self, rng):
+        """A mask of another universe with d coordinates is not the full mask."""
+        P, pi = random_chain(rng, (2, 2, 2))
+        with pytest.raises(ValidationError, match="universe"):
+            EdgeMeasure(P, pi).keep_in(SubsetMask.of(5, (0, 3, 4)))
+
     def test_keep_in_against_naive(self, rng):
         dims = (2, 3, 2)
         P, pi = random_chain(rng, dims)

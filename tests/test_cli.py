@@ -147,6 +147,12 @@ class TestSelect:
         ["--problem", "dist2stat", "--algorithm", "batch", "--batch-sizes", "2,0", "--m", "2"],
         ["--problem", "entropy", "--algorithm", "local-search", "--epsilon", "0"],
         ["--problem", "entropy", "--m", "1", "--oracle"],  # certificates need --out
+        # rows with no block-order form
+        ["--problem", "entropy", "--m", "1", "--block-order"],
+        ["--problem", "dist2stat", "--m", "1", "--block-order"],
+        ["--problem", "dist2fact-fixed", "--W", "1", "--m", "1", "--block-order"],
+        ["--problem", "k-entropy", "--algorithm", "gen-distorted", "--V", "1,2|3,4", "--m", "1",
+         "--block-order"],
         *PAIRING_ERRORS,
     ])
     def test_flag_errors_are_usage_errors(self, args):
@@ -156,6 +162,8 @@ class TestSelect:
             assert "--algorithm" in result.output
         if "--oracle" in args:
             assert "--oracle" in result.output
+        if "--block-order" in args:
+            assert f"--block-order: {args[1]} has no block-order form" in result.output
 
     def test_local_search_ends_on_a_non_positive_objective(self):
         # f = -D(P_{U-S} || independence) <= 0; the factor rule cycled on it

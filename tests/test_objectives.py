@@ -11,6 +11,7 @@ from mcselect.objectives import (
     build_partition_objective,
     build_subset_objective,
     is_product_form,
+    parts_below,
     union_of,
 )
 
@@ -170,6 +171,60 @@ class TestAlgorithmPreconditions:
             assert dec.c(parts) >= -1e-12
 
 
+class TestWorkspaceCaches:
+    def test_masks_of_another_universe_are_refused_before_the_caches(self, rng):
+        """A cached mask's bits, or the empty mask's, in another universe do
+        not answer from the cache."""
+        P, pi = random_reversible_chain(rng, (2, 2, 2))
+        ws = Workspace(P, pi)
+        ws.entropy_rate(SubsetMask.of(3, (0, 1)))
+        blocks = (SubsetMask.of(3, (0,)), SubsetMask.of(3, (1, 2)))
+        ws.block_order_kl(blocks)
+        for query in (
+            lambda: ws.entropy_rate(SubsetMask.of(5, (0, 1))),
+            lambda: ws.entropy_pi(SubsetMask.of(5, (0, 1))),
+            lambda: ws.entropy_rate(SubsetMask.empty(7)),
+            lambda: ws.entropy_pi(SubsetMask.empty(7)),
+            lambda: ws.block_order_kl(tuple(SubsetMask(b.bits, 5) for b in blocks)),
+        ):
+            with pytest.raises(ValidationError, match="universe"):
+                query()
+
+    @pytest.mark.parametrize("problem_id", ["dist2fact", "k-dist2fact"])
+    def test_block_order_kl_is_computed_once_per_parts(self, rng, monkeypatch, problem_id):
+        """The cached path reduces each distinct parts tuple once per
+        Workspace, across builds; f_direct recomputes it on every call."""
+        from mcselect import functionals
+
+        calls = []
+        kl = functionals.kl_to_blocks
+        monkeypatch.setattr(functionals, "kl_to_blocks",
+                            lambda *args, **kwargs: calls.append(args[1]) or kl(*args, **kwargs))
+        P, pi = random_reversible_chain(rng, (2, 3, 2))
+        ws = Workspace(P, pi)
+        if problem_id == "dist2fact":
+            build = lambda: build_subset_objective(problem_id, P, pi, block_order=True,
+                                                   workspace=ws)
+            solutions = list(SubsetMask.full(3).subsets())
+        else:
+            caps = (SubsetMask.of(3, (0,)), SubsetMask.of(3, (1, 2)))
+            build = lambda: build_partition_objective(problem_id, P, pi, caps,
+                                                      block_order=True, workspace=ws)
+            solutions = list(parts_below(caps))
+        decs = [build(), build()]
+        for dec in decs:
+            for S in solutions:
+                dec.f(S)
+                dec.f(S)
+        keys = [tuple(block.bits for block in blocks) for blocks in calls]
+        assert len(keys) == len(set(keys)) == len(solutions)
+        calls.clear()
+        for S in solutions:
+            decs[0].f_direct(S)
+            decs[0].f_direct(S)
+        assert len(calls) == 2 * len(solutions)
+
+
 class TestBuildErrors:
     def test_unknown_id(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2))
@@ -199,6 +254,17 @@ class TestBuildErrors:
             build_partition_objective("k-dist2indp", P, pi, caps).validate_m(2)
         with pytest.raises(ValidationError, match="m <= 1"):
             build_partition_objective("k-dist2indp-complement", P, pi, caps).validate_m(2)
+
+    @pytest.mark.parametrize("problem_id", ["entropy", "dist2stat", "dist2fact-fixed",
+                                            "k-entropy", "k-dist2indp"])
+    def test_block_order_needs_a_block_order_row(self, rng, problem_id):
+        P, pi = random_reversible_chain(rng, (2, 2))
+        with pytest.raises(ValidationError, match=f"{problem_id} has no block-order form"):
+            if problem_id.startswith("k-"):
+                build_partition_objective(problem_id, P, pi, default_caps(2), block_order=True)
+            else:
+                build_subset_objective(problem_id, P, pi, W=SubsetMask.of(2, (0,)),
+                                       block_order=True)
 
     def test_overlapping_ceiling_rejected(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2))

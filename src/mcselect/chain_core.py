@@ -38,9 +38,11 @@ TERM_FLOOR = 1e-300
 
 # A matrix is sparse when its non-zeros are fewer than one in SPARSE_SHARE
 # of its n^2 entries: it then keeps them, and its edge measure and
-# stationary solve work on them alone.  Measured on 2 cores, cube.sum costs
-# 5 to 20 ns per cube entry and the support reduction 60 to 150 ns per
-# non-zero, so they break even at a density between about 1/30 and 1/4.
+# stationary solve work on them alone.  Measured on 2 cores with one BLAS
+# thread, over every mask of random chains with d = 6..8 binary coordinates,
+# the cube's two-pass reduction costs 4 to 11 ns per cube entry (about 5 at
+# d = 8) and the support reduction 50 to 70 ns per non-zero, so they break
+# even at a density between about 1/17 and 1/5.
 SPARSE_SHARE = 8
 
 
@@ -97,7 +99,7 @@ class ProductStateSpace:
         return ProductStateSpace(tuple(self.dims[i] for i in mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetMask:
     """A subset of the coordinate set {0, ..., d-1} as a bitmask."""
 
@@ -597,12 +599,15 @@ class EdgeMeasure:
 
     Its storage is picked once, from P's density.  A dense P (at least one
     non-zero in SPARSE_SHARE of its n^2 entries) is held as a read-only
-    ``cube`` over ``dims + dims`` (source digits, then target digits),
-    reduced with ``cube.sum``, and its support is found on first use.  A
-    sparse P is held as the non-zeros P keeps, and no n x n array is
-    built: each reduction adds the non-zeros in the order ``cube.sum``
-    adds the cube (:func:`_pairwise_sums`), so both forms give the same
-    bits.
+    ``cube`` over ``dims + dims`` (source digits, then target digits), and
+    its support is found on first use.  A sparse P is held as the non-zeros
+    P keeps, and no n x n array is built.  Both storages reduce in the one
+    order of ``cube.sum`` over the dropped digits, so both give its bits:
+    each run of trailing dropped target digits (those past the last kept
+    coordinate) is summed pairwise, and each cell adds its runs one after
+    another in row-major order of its other dropped digits.  The cube does
+    so in two contiguous passes (:meth:`_reduce_cube`), the non-zeros by
+    replaying numpy's pairwise tree (:func:`_pairwise_sums`).
 
     A reduction gives E_S in compact form: its non-zero cells as int32
     ascending flat indices and their values (a sparse chain may also keep
@@ -650,19 +655,37 @@ class EdgeMeasure:
         ``mask`` at both endpoints, in compact form."""
         if self.cube is None:
             return self._reduce_nonzeros(mask)
+        return _compact(self._reduce_cube(mask).reshape(-1))
+
+    def _reduce_cube(self, mask: SubsetMask) -> np.ndarray:
+        """``cube.sum`` over the dropped digits, bit for bit, in two
+        contiguous passes: sum each run, then move the other dropped digits
+        in front of the kept ones and add each cell's runs in order."""
+        kept = mask.indices()
+        if not kept:
+            return self.cube.sum()
+        dims, d, last = self.space.dims, self.space.d, kept[-1]
+        run = math.prod(dims[last + 1:])
+        runs = self.cube.reshape(-1, run)
+        if run >= PAIRWISE_LANES:
+            runs = runs.sum(axis=1)
+        elif run > 1:  # numpy adds so short a run in order; one loop a column is faster
+            cols = runs
+            runs = cols[:, 0] + cols[:, 1]
+            for j in range(2, run):
+                runs += cols[:, j]
         drop = _dropped(mask)
-        return _compact(self.cube.sum(axis=drop + tuple(self.space.d + i for i in drop))
-                        .reshape(-1))
+        front = drop + tuple(d + i for i in drop if i < last)
+        back = kept + tuple(d + i for i in kept)
+        moved = runs.reshape(dims + dims[:last + 1]).transpose(front + back)
+        return np.add.reduce(moved.reshape(-1, math.prod(moved.shape[len(front):])), axis=0)
 
     def _reduce_nonzeros(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
         """``cube.sum`` over the dropped digits, bit for bit and in compact
-        form, from the held non-zeros.  The cube's trailing dropped digits,
-        the target digits past the last kept coordinate, form one run of
-        ``run`` entries, which numpy sums pairwise; each cell adds its runs
-        in row-major order of its other dropped digits.  With no coordinate
-        kept the whole cube is one run.  Each cell then adds its entries in
-        order, into a dense array when E_S has no more cells than there are
-        entries, else over the distinct cells only."""
+        form, from the held non-zeros, in the order the class states; with
+        no coordinate kept the whole cube is one run.  Each cell adds its
+        runs into a dense array when E_S has no more cells than there are
+        runs, else over the distinct cells only."""
         x, y, _, w = self._nonzeros
         dims, n = self.space.dims, self.space.total
         kept = mask.indices()

@@ -222,7 +222,7 @@ def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str, pat
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionRow:
     m: int
     chosen: object
@@ -449,6 +449,10 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
         objectives.check_block_order(problem, block_order)
     except ValidationError as err:
         raise click.UsageError(f"--block-order: {err}") from err
+    if ceiling_spec is not None and problem not in objectives.PARTITION_PROBLEMS:
+        raise click.UsageError(f"--V: {problem} takes no partition ceiling; the k- problems do")
+    if fixed_spec is not None and problem != "dist2fact-fixed":
+        raise click.UsageError(f"--W: {problem} takes no fixed block; dist2fact-fixed does")
     with exit_codes():
         P, pi = _load_model(model, chain_file, d, temperature, field)
         d = P.space.d

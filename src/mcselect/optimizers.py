@@ -36,7 +36,7 @@ class TrajectoryStep:
     accepted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Record of the theoretical lower bound against a brute-force optimum."""
 
@@ -48,7 +48,7 @@ class Certificate:
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     chosen: object  # SubsetMask or Partition
     objective_value: float

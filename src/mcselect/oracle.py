@@ -29,7 +29,7 @@ MAX_RATIO_UNIVERSE = 8
 CHUNK = 1 << 16  # scan entries held in memory at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     passed: bool
     witness: object = None

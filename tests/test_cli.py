@@ -153,11 +153,20 @@ class TestSelect:
         ["--problem", "dist2fact-fixed", "--W", "1", "--m", "1", "--block-order"],
         ["--problem", "k-entropy", "--algorithm", "gen-distorted", "--V", "1,2|3,4", "--m", "1",
          "--block-order"],
+        # a ceiling or a fixed block the problem takes none of
+        ["--problem", "entropy", "--m", "1", "--W", "1", "--V", "1,2|3,4"],
+        ["--problem", "k-entropy", "--algorithm", "gen-distorted", "--V", "1,2|3,4", "--W", "9",
+         "--m", "1"],
+        ["--problem", "dist2fact-fixed", "--W", "1", "--V", "1,2|3,4", "--m", "1"],
         *PAIRING_ERRORS,
     ])
     def test_flag_errors_are_usage_errors(self, args):
         result = CliRunner().invoke(main, ["select", "--d", "4", *args])
         assert result.exit_code == 2
+        unused = [flag for flag, takes in (("--V", "k-"), ("--W", "dist2fact-fixed"))
+                  if flag in args and not args[1].startswith(takes)]
+        if unused:  # the first one is named
+            assert f"{unused[0]}: {args[1]} takes no" in result.output
         if args in PAIRING_ERRORS:
             assert "--algorithm" in result.output
         if "--oracle" in args:

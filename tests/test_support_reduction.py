@@ -1,10 +1,11 @@
-"""The support path of EdgeMeasure against numpy's own reduction of the cube.
+"""Both paths of EdgeMeasure against numpy's own reduction of the cube.
 
-A sparse chain's edge measure is reduced from P's non-zeros in the order
-numpy's pairwise summation adds the dense cube, so every projection keeps
-the bits of ``cube.sum``.  These tests call the support reduction directly
-on dense and sparse chains and scatter its compact form, so a change in
-numpy's summation order shows up here as one named failure.
+A dense chain's edge measure is reduced in two contiguous passes, and a
+sparse chain's from P's non-zeros, in the order numpy's pairwise summation
+adds the cube, so every projection keeps the bits of ``cube.sum``.  These
+tests call each reduction directly on every mask and scatter its compact
+form, so a change in numpy's summation order shows up here as a named
+failure.
 """
 
 import tracemalloc
@@ -90,6 +91,25 @@ def test_every_mask_has_the_bits_of_cube_sum(spec):
         em._hold_nonzeros()  # the support path, whatever the density
     for S in SubsetMask.full(P.space.d).subsets():
         assert np.array_equal(scattered(em._reduce_nonzeros(S), cube, S), cube_sum(cube, S)), S
+
+
+# every run length below one stride, 2 to 7 entries, and at (3,)*6 runs of
+# 243 and 81 entries that split into blocks
+DENSE_SPECS = ["mixed_3223", ((3, 2, 2), 0.9)] + [
+    (dims, 0.0) for dims in [(3, 2, 2), (5, 5, 5, 5), (7, 3, 5, 2, 3), (3, 2, 7), (2,) * 8,
+                             (3,) * 6]
+]
+
+
+@pytest.mark.parametrize("spec", DENSE_SPECS, ids=str)
+def test_every_mask_of_the_cube_has_the_bits_of_cube_sum(spec):
+    """The dense path's two passes against numpy's multi-axis sum."""
+    P, pi = chain(spec)
+    cube = cube_of(P, pi)
+    em = EdgeMeasure(P, pi)
+    assert em.cube is not None
+    for S in SubsetMask.full(P.space.d).subsets():
+        assert np.array_equal(scattered(em._reduce(S), cube, S), cube_sum(cube, S)), S
 
 
 @settings(max_examples=150, deadline=None)

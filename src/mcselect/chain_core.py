@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,11 +39,10 @@ TERM_FLOOR = 1e-300
 
 # A matrix is sparse when its non-zeros are fewer than one in SPARSE_SHARE
 # of its n^2 entries: it then keeps them, and its edge measure and
-# stationary solve work on them alone.  Measured on 2 cores with one BLAS
-# thread, over every mask of random chains with d = 6..8 binary coordinates,
-# the cube's two-pass reduction costs 4 to 11 ns per cube entry (about 5 at
-# d = 8) and the support reduction 50 to 70 ns per non-zero, so they break
-# even at a density between about 1/17 and 1/5.
+# stationary solve work on them alone.  Measured on 2 cores over every mask
+# of dense random chains with 6 to 8 binary coordinates, the cube's
+# reduction costs 4 to 11 ns per cube entry (4 at d = 8) and the support
+# reduction 50 to 70 ns per non-zero: they break even at 1/17 to 1/5.
 SPARSE_SHARE = 8
 
 
@@ -601,13 +601,12 @@ class EdgeMeasure:
     non-zero in SPARSE_SHARE of its n^2 entries) is held as a read-only
     ``cube`` over ``dims + dims`` (source digits, then target digits), and
     its support is found on first use.  A sparse P is held as the non-zeros
-    P keeps, and no n x n array is built.  Both storages reduce in the one
-    order of ``cube.sum`` over the dropped digits, so both give its bits:
-    each run of trailing dropped target digits (those past the last kept
-    coordinate) is summed pairwise, and each cell adds its runs one after
-    another in row-major order of its other dropped digits.  The cube does
-    so in two contiguous passes (:meth:`_reduce_cube`), the non-zeros by
-    replaying numpy's pairwise tree (:func:`_pairwise_sums`).
+    P keeps, and no n x n array is built.  Both reduce in the order of
+    ``cube.sum`` over the dropped digits, so both give its bits: each run
+    of trailing dropped target digits (past the last kept coordinate) is
+    summed pairwise, and each cell adds its runs in row-major order of its
+    other dropped digits; the non-zeros replay numpy's pairwise tree
+    (:func:`_pairwise_sums`).
 
     A reduction gives E_S in compact form: its non-zero cells as int32
     ascending flat indices and their values (a sparse chain may also keep
@@ -652,33 +651,27 @@ class EdgeMeasure:
 
     def _reduce(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
         """The one reduction of the edge measure: sum out the digits outside
-        ``mask`` at both endpoints, in compact form."""
+        ``mask`` at both endpoints, in compact form.  The cube is reduced in
+        two contiguous passes: sum each run, then move the other dropped
+        digits in front of the kept ones and add each cell's runs in order."""
         if self.cube is None:
             return self._reduce_nonzeros(mask)
-        return _compact(self._reduce_cube(mask).reshape(-1))
-
-    def _reduce_cube(self, mask: SubsetMask) -> np.ndarray:
-        """``cube.sum`` over the dropped digits, bit for bit, in two
-        contiguous passes: sum each run, then move the other dropped digits
-        in front of the kept ones and add each cell's runs in order."""
         kept = mask.indices()
         if not kept:
-            return self.cube.sum()
+            return _compact(self.cube.sum().reshape(-1))
         dims, d, last = self.space.dims, self.space.d, kept[-1]
         run = math.prod(dims[last + 1:])
         runs = self.cube.reshape(-1, run)
         if run >= PAIRWISE_LANES:
             runs = runs.sum(axis=1)
-        elif run > 1:  # numpy adds so short a run in order; one loop a column is faster
-            cols = runs
-            runs = cols[:, 0] + cols[:, 1]
-            for j in range(2, run):
-                runs += cols[:, j]
+        elif run > 1:  # numpy adds so short a run in order; a loop a column is faster
+            runs = reduce(np.add, runs.T)
         drop = _dropped(mask)
         front = drop + tuple(d + i for i in drop if i < last)
         back = kept + tuple(d + i for i in kept)
         moved = runs.reshape(dims + dims[:last + 1]).transpose(front + back)
-        return np.add.reduce(moved.reshape(-1, math.prod(moved.shape[len(front):])), axis=0)
+        cells = math.prod(moved.shape[len(front):])
+        return _compact(np.add.reduce(moved.reshape(-1, cells), axis=0))
 
     def _reduce_nonzeros(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
         """``cube.sum`` over the dropped digits, bit for bit and in compact

@@ -41,8 +41,8 @@ TERM_FLOOR = 1e-300
 # of its n^2 entries: it then keeps them, and its edge measure and
 # stationary solve work on them alone.  Measured on 2 cores over every mask
 # of dense random chains with 6 to 8 binary coordinates, the cube's
-# reduction costs 4 to 11 ns per cube entry (4 at d = 8) and the support
-# reduction 50 to 70 ns per non-zero: they break even at 1/17 to 1/5.
+# reduction costs 3 to 12 ns per cube entry (3 to 4 at d = 8) and the
+# support reduction 26 to 49 ns per non-zero: they break even at 1/16 to 1/4.
 SPARSE_SHARE = 8
 
 
@@ -502,76 +502,46 @@ def weighted_support(mu: np.ndarray, M: TransitionMatrix) -> tuple[np.ndarray, .
     return (x, y, m, w) if keep.all() else tuple(arr[keep] for arr in (x, y, m, w))
 
 
-# numpy's float64 add.reduce sums a contiguous run by pairwise summation
-# (Higham, SIAM J. Sci. Comput. 14(4), 1993): a run of at most
-# PAIRWISE_BLOCK entries in PAIRWISE_LANES strided lanes, a longer one split
-# in two at half its length, rounded down to a multiple of the lanes.
-PAIRWISE_LANES = 8
-PAIRWISE_BLOCK = 128
+# the most floats _run_sums lays out at a time (one run, if a run is longer)
+RUN_BLOCK = 1 << 16
 
 
-def _fold(group: np.ndarray, node: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Add up neighbouring items of the same group and node, in order."""
-    first = np.ones(len(group), dtype=bool)
-    first[1:] = (group[1:] != group[:-1]) | (node[1:] != node[:-1])
-    if first.all():
-        return group, node, val
-    return group[first], node[first], np.bincount(np.cumsum(first) - 1, val)
+def _sum_rows(block: np.ndarray) -> np.ndarray:
+    """numpy's sum of each row of the C-ordered 2-d ``block``; numpy adds a
+    row of fewer than 8 entries in order, and a loop a column does that
+    faster."""
+    if block.shape[1] >= 8:
+        return block.sum(axis=1)
+    return reduce(np.add, block.T)
 
 
-def _pairwise_sums(group: np.ndarray, pos: np.ndarray, w: np.ndarray, run: int) -> np.ndarray:
-    """For each group of entries (``group`` numbers them 0, 1, ... in
-    order), the bits numpy's pairwise summation gives for a run of ``run``
-    entries that are zero except for the group's ``w`` at offsets ``pos``,
-    ascending within the group.
-
-    Every addition of a zero is exact, so only the non-zeros are visited:
-    each is summed into its lane, and the lanes, blocks and halves are then
-    added in numpy's tree, named by heap index (root 1, children 2h and
-    2h + 1).  The tail of the run, ``run % PAIRWISE_LANES`` entries past
-    the last full stride, is added one entry at a time to its block's
-    combined lanes.
-    """
-    if run < PAIRWISE_LANES:
-        return np.bincount(group, w)
-    if len(group) == group[-1] + 1:  # one entry a group
-        return w
-    # descend numpy's halving to each entry's block
-    lo = np.zeros_like(pos)
-    size = np.full_like(pos, run)
-    node = np.ones_like(pos)
-    split = size > PAIRWISE_BLOCK
-    while split.any():
-        half = size // 2
-        half -= half % PAIRWISE_LANES
-        right = split & (pos >= lo + half)
-        lo = lo + right * half
-        size = np.where(right, size - half, np.where(split, half, size))
-        node = np.where(split, 2 * node + right, node)
-        split = size > PAIRWISE_BLOCK
-    tail = pos >= run - run % PAIRWISE_LANES
-    last = int(node[tail][0]) if tail.any() else 0  # the block that holds the tail
-    body = ~tail
-    lane = pos[body] % PAIRWISE_LANES
-    # each lane of each block is one sequential sum: sort the entries into
-    # lanes, keeping their order within a lane
-    order = np.argsort((group[body] * run + lo[body]) * PAIRWISE_LANES + lane, kind="stable")
-    g, node, val = _fold(group[body][order], (node[body] * PAIRWISE_LANES + lane)[order],
-                         w[body][order])
-    # a node at depth k has heap index 2^k or more, every shallower one less
-    top = max(int(node.max(initial=0)), last).bit_length() - 1
-    for level in range(top, -1, -1):
-        if level == last.bit_length() - 1:
-            # numpy adds the tail to the block's combined lanes
-            g = np.concatenate([g, group[tail]])
-            node = np.concatenate([node, np.full(int(tail.sum()), last, dtype=node.dtype)])
-            val = np.concatenate([val, w[tail]])
-            order = np.argsort(g, kind="stable")
-            g, node, val = _fold(g[order], node[order], val[order])
-        if level:
-            node = np.where(node >> level, node >> 1, node)
-            g, node, val = _fold(g, node, val)
-    return val
+def _run_sums(start: np.ndarray, pos: np.ndarray, w: np.ndarray, run: int) -> np.ndarray:
+    """For each run of ``run`` entries that are zero except for ``w`` at the
+    ascending offsets ``pos`` (``start`` marks each run's first value),
+    numpy's sum of the run.  A run with one value is that value; the others
+    are written as rows into a reused zero block and summed by
+    :func:`_sum_rows`, RUN_BLOCK floats or one run at a time."""
+    first = np.flatnonzero(start)
+    sums = w[first]
+    many = np.diff(first, append=len(w)) > 1
+    runs = np.flatnonzero(many)
+    if not len(runs):
+        return sums
+    of = np.cumsum(start) - 1
+    at = many[of]
+    # each value's place in the rows of all runs with several values
+    place = (np.cumsum(many)[of[at]] - 1) * run + pos[at]
+    w = w[at]
+    rows = min(len(runs), max(1, RUN_BLOCK // run))
+    block = np.zeros(rows * run)
+    edges = np.searchsorted(place, np.arange(0, len(runs) * run, rows * run))
+    for lo, i, j in zip(range(0, len(runs), rows), edges, np.append(edges[1:], len(w))):
+        k = min(rows, len(runs) - lo)
+        here = place[i:j] - lo * run
+        block[here] = w[i:j]
+        sums[runs[lo:lo + k]] = _sum_rows(block[:k * run].reshape(k, run))
+        block[here] = 0.0
+    return sums
 
 
 def _row_sums(x: np.ndarray, y: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
@@ -580,9 +550,9 @@ def _row_sums(x: np.ndarray, y: np.ndarray, p: np.ndarray, n: int) -> np.ndarray
     any."""
     sums = np.zeros(n)
     if len(p):
-        first = np.ones(len(x), dtype=bool)
-        first[1:] = x[1:] != x[:-1]
-        sums[x[first]] = _pairwise_sums(np.cumsum(first) - 1, y, p, n)
+        start = np.ones(len(x), dtype=bool)
+        start[1:] = x[1:] != x[:-1]
+        sums[x[start]] = _run_sums(start, y, p, n)
     return sums
 
 
@@ -601,12 +571,12 @@ class EdgeMeasure:
     non-zero in SPARSE_SHARE of its n^2 entries) is held as a read-only
     ``cube`` over ``dims + dims`` (source digits, then target digits), and
     its support is found on first use.  A sparse P is held as the non-zeros
-    P keeps, and no n x n array is built.  Both reduce in the order of
-    ``cube.sum`` over the dropped digits, so both give its bits: each run
-    of trailing dropped target digits (past the last kept coordinate) is
-    summed pairwise, and each cell adds its runs in row-major order of its
-    other dropped digits; the non-zeros replay numpy's pairwise tree
-    (:func:`_pairwise_sums`).
+    P keeps, and no n x n array is built.  Both reduce in one order, that
+    of ``cube.sum`` over the dropped digits, so both give its bits: numpy
+    sums each run of trailing dropped target digits (past the last kept
+    coordinate), :func:`_sum_rows` for both storages, and each cell adds
+    its runs in row-major order of its other dropped digits.  The empty
+    mask keeps nothing to reduce: E_empty is the point mass 1.
 
     A reduction gives E_S in compact form: its non-zero cells as int32
     ascending flat indices and their values (a sparse chain may also keep
@@ -653,19 +623,15 @@ class EdgeMeasure:
         """The one reduction of the edge measure: sum out the digits outside
         ``mask`` at both endpoints, in compact form.  The cube is reduced in
         two contiguous passes: sum each run, then move the other dropped
-        digits in front of the kept ones and add each cell's runs in order."""
+        digits in front of the kept ones and add each cell's runs in order.
+        The empty mask gives the point mass on either storage."""
+        if not mask.bits:
+            return np.zeros(1, dtype=np.int32), np.ones(1)
         if self.cube is None:
             return self._reduce_nonzeros(mask)
         kept = mask.indices()
-        if not kept:
-            return _compact(self.cube.sum().reshape(-1))
         dims, d, last = self.space.dims, self.space.d, kept[-1]
-        run = math.prod(dims[last + 1:])
-        runs = self.cube.reshape(-1, run)
-        if run >= PAIRWISE_LANES:
-            runs = runs.sum(axis=1)
-        elif run > 1:  # numpy adds so short a run in order; a loop a column is faster
-            runs = reduce(np.add, runs.T)
+        runs = _sum_rows(self.cube.reshape(-1, math.prod(dims[last + 1:])))
         drop = _dropped(mask)
         front = drop + tuple(d + i for i in drop if i < last)
         back = kept + tuple(d + i for i in kept)
@@ -675,10 +641,10 @@ class EdgeMeasure:
 
     def _reduce_nonzeros(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
         """``cube.sum`` over the dropped digits, bit for bit and in compact
-        form, from the held non-zeros, in the order the class states; with
-        no coordinate kept the whole cube is one run.  Each cell adds its
-        runs into a dense array when E_S has no more cells than there are
-        runs, else over the distinct cells only."""
+        form, from the held non-zeros, in the order the class states, for a
+        mask that keeps a coordinate.  Each cell adds its runs into a dense
+        array when E_S has no more cells than there are runs, else over the
+        distinct cells only."""
         x, y, _, w = self._nonzeros
         dims, n = self.space.dims, self.space.total
         kept = mask.indices()
@@ -687,14 +653,14 @@ class EdgeMeasure:
             code = code * dims[i] + self._digits[i]
         total_s = math.prod(dims[i] for i in kept)
         cell = code[x] * total_s + code[y]
-        run = math.prod(dims[kept[-1] + 1:]) if kept else n * n
+        run = math.prod(dims[kept[-1] + 1:])
         if run > 1:
             flat = x * n + y
             run_of = flat // run
-            first = np.ones(len(flat), dtype=bool)
-            first[1:] = run_of[1:] != run_of[:-1]
-            w = _pairwise_sums(np.cumsum(first) - 1, flat % run, w, run)
-            cell = cell[first]
+            start = np.ones(len(flat), dtype=bool)
+            start[1:] = run_of[1:] != run_of[:-1]
+            w = _run_sums(start, flat % run, w, run)
+            cell = cell[start]
         if total_s * total_s <= len(cell):
             return _compact(np.bincount(cell, w, minlength=total_s * total_s))
         cells, inverse = np.unique(cell, return_inverse=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -87,6 +88,8 @@ def parse_coords(text: str, d: int) -> SubsetMask:
 def parse_ceiling(text: str, d: int) -> tuple[SubsetMask, ...]:
     """Parse a partition ceiling like "1,2,3,4|5,6,7|8,9,10"."""
     groups = [parse_coords(part, d) for part in text.split("|")]
+    if not all(groups):
+        raise click.UsageError(f"--V {text!r} has an empty group")
     try:
         Partition(tuple(groups))
     except ValidationError as err:
@@ -139,8 +142,8 @@ def _plan(dec: objectives.ObjectiveDecomposition, algorithm: str, ms: Sequence[i
         shown = f"{ms.start}..{ms.stop - 1}" if isinstance(ms, range) else "[]"
         raise click.UsageError(f"empty m range {shown}")
     if algorithm == "local-search":
-        if epsilon <= 0:
-            raise click.UsageError("--epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise click.UsageError(f"--epsilon must be positive and finite, not {epsilon!r}")
         if oracle and ms[0] < 0:  # the certificate's brute force takes |S| <= m
             raise click.UsageError("cardinality constraint must be non-negative")
         return [(ms[0], None)]
@@ -164,6 +167,11 @@ def exit_codes(prefix: str = "model error"):
     except GuardError as err:
         click.echo(f"guard violation: {err}", err=True)
         sys.exit(EXIT_GUARD)
+
+
+def _finite_field(field: float) -> None:
+    if not math.isfinite(field):
+        raise click.UsageError(f"--h must be finite, not {field!r}")
 
 
 def _load_model(model, chain_file, d, temperature, field):
@@ -252,8 +260,7 @@ def run_selection(
     for m, plan in _plan(dec, algorithm, ms, epsilon, batch_spec, oracle):
         start = time.perf_counter()
         result = search(dec, m, epsilon, plan)
-        if oracle:
-            result = dataclasses.replace(result, certificate=optimizers.certify(dec, m, result))
+        certificate = optimizers.certify(dec, m, result) if oracle else None
         elapsed = time.perf_counter() - start
 
         chosen = result.chosen
@@ -265,7 +272,7 @@ def run_selection(
                 f"objective drift {abs(direct - fast):.3e} between direct and "
                 f"cached evaluation at m={m}"
             )
-        rows.append(SelectionRow(m, chosen, direct, elapsed, result.trajectory, result.certificate))
+        rows.append(SelectionRow(m, chosen, direct, elapsed, result.trajectory, certificate))
     return rows
 
 
@@ -453,6 +460,7 @@ def cmd_select(problem, model, chain_file, d, temperature, field, algorithm, m, 
         raise click.UsageError(f"--V: {problem} takes no partition ceiling; the k- problems do")
     if fixed_spec is not None and problem != "dist2fact-fixed":
         raise click.UsageError(f"--W: {problem} takes no fixed block; dist2fact-fixed does")
+    _finite_field(field)
     with exit_codes():
         P, pi = _load_model(model, chain_file, d, temperature, field)
         d = P.space.d
@@ -508,6 +516,7 @@ def cmd_mcmc(d, temperature, field, n_max, split, samples, seed, out, json_out, 
         raise click.UsageError(f"--n-max must be >= 0, got {n_max}")
     if samples < 0:
         raise click.UsageError(f"--samples must be >= 0, got {samples}")
+    _finite_field(field)
     with exit_codes():
         chain = models.curie_weiss_chain(models.CurieWeissParams(d=d, T=temperature, h=field))
         study = mcmc_study(chain, n_max=n_max,

@@ -51,6 +51,8 @@ class CurieWeissParams:
             raise ValidationError("d must be >= 1")
         if not self.T > 0:
             raise ValidationError("temperature must be positive")
+        if not math.isfinite(self.h):
+            raise ValidationError(f"external field h must be finite, not {self.h!r}")
 
 
 def _interactions(d: int) -> np.ndarray:
@@ -150,6 +152,24 @@ def save_chain(path: str | Path, P: TransitionMatrix, pi: Distribution | None = 
     Path(path).write_text("\n".join(parts) + "\n")
 
 
+def _numbers(path: str | Path, key: str, raw, text: str) -> np.ndarray:
+    """The field ``key`` of a chain file, ``raw`` as parsed from ``text``,
+    as a float array; it must be a regular array of JSON numbers.  numpy
+    reads a string or a null into a dtype that is not numeric, but a bool
+    among numbers as a number, so the entries are looked at one by one only
+    in a file that spells out a bool."""
+    try:
+        values = np.array(raw)
+    except ValueError as err:  # rows of different lengths
+        raise ValidationError(f"chain file {path}: {key} is not a regular array: {err}") from err
+    numeric = values.dtype.kind in "iuf"
+    if numeric and ("true" in text or "false" in text):
+        numeric = not any(type(v) is bool for v in np.array(raw, dtype=object).flat)
+    if not numeric:
+        raise ValidationError(f"chain file {path}: {key} must be an array of JSON numbers")
+    return values.astype(float, copy=False)
+
+
 def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]:
     """Parse, validate, and return a chain file.
 
@@ -158,19 +178,24 @@ def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]
     :class:`StationaryMismatchWarning` is emitted and the vector is
     recomputed by power iteration instead.
     """
+    text = Path(path).read_text()
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValidationError(f"malformed chain file {path}: {err}") from err
     try:
-        d = int(doc["d"])
-        dims = tuple(int(v) for v in doc["dims"])
-        transition = np.asarray(doc["transition"], dtype=float)
-    except (KeyError, TypeError, ValueError) as err:
+        d, dims, rows = doc["d"], doc["dims"], doc["transition"]
+    except (KeyError, TypeError) as err:
         raise ValidationError(f"chain file {path} is missing or corrupts a field: {err}") from err
+    if type(d) is not int:
+        raise ValidationError(f"chain file {path}: d must be a JSON integer, not {d!r}")
+    if type(dims) is not list or any(type(n) is not int for n in dims):
+        raise ValidationError(f"chain file {path}: dims must be an array of JSON integers, "
+                              f"not {dims!r}")
     if len(dims) != d:
         raise ValidationError(f"chain file declares d={d} but has {len(dims)} dims")
-    space = ProductStateSpace(dims)
+    transition = _numbers(path, "transition", rows, text)
+    space = ProductStateSpace(tuple(dims))
     if transition.shape != (space.total, space.total):
         raise ValidationError(
             f"transition shape {transition.shape} does not match dims (total {space.total})"
@@ -181,7 +206,7 @@ def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]
 
     pi: Distribution | None = None
     if "stationary" in doc:
-        probs = np.asarray(doc["stationary"], dtype=float)
+        probs = _numbers(path, "stationary", doc["stationary"], text)
         if probs.shape != (space.total,):
             raise ValidationError("stationary vector length does not match the state space")
         pi = Distribution(space, probs)

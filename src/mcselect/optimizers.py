@@ -53,7 +53,6 @@ class RunResult:
     chosen: object  # SubsetMask or Partition
     objective_value: float
     trajectory: tuple[TrajectoryStep, ...]
-    certificate: Certificate | None = None
 
 
 def check_batch_sizes(sizes: Sequence[int], m: int) -> None:

@@ -12,6 +12,7 @@ from mcselect.cli import main, mcmc_study, parse_ceiling, parse_coords
 from mcselect.models import save_chain
 
 SPARSE_CHAIN = Path(__file__).parent / "data" / "cw6_unsolved.json"
+MIXED_CHAIN = Path(__file__).parent / "golden" / "mixed_3223.json"
 
 ENTROPY_GREEDY_REFERENCE = {
     1: 0.29085, 2: 0.57371, 3: 0.83933, 4: 1.09570, 5: 1.33953,
@@ -158,6 +159,11 @@ class TestSelect:
         ["--problem", "k-entropy", "--algorithm", "gen-distorted", "--V", "1,2|3,4", "--W", "9",
          "--m", "1"],
         ["--problem", "dist2fact-fixed", "--W", "1", "--V", "1,2|3,4", "--m", "1"],
+        # numbers that are not finite, and a ceiling group with no coordinate
+        ["--problem", "entropy", "--algorithm", "local-search", "--epsilon", "nan"],
+        ["--problem", "entropy", "--m", "1", "--h", "inf"],
+        ["--problem", "entropy", "--m", "1", "--h", "nan"],
+        ["--problem", "k-entropy", "--algorithm", "gen-distorted", "--V", "1,2||3", "--m", "1"],
         *PAIRING_ERRORS,
     ])
     def test_flag_errors_are_usage_errors(self, args):
@@ -173,6 +179,11 @@ class TestSelect:
             assert "--oracle" in result.output
         if "--block-order" in args:
             assert f"--block-order: {args[1]} has no block-order form" in result.output
+        for flag in ("--epsilon", "--h"):
+            if flag in args:
+                assert f"{flag} must be" in result.output
+        if "1,2||3" in args:
+            assert "--V '1,2||3' has an empty group" in result.output
 
     def test_local_search_ends_on_a_non_positive_objective(self):
         # f = -D(P_{U-S} || independence) <= 0; the factor rule cycled on it
@@ -394,6 +405,7 @@ class TestMcmc:
         (["--split", "9"], "--split"),
         (["--n-max", "-1"], "--n-max"),
         (["--samples", "-5"], "--samples"),
+        (["--h", "nan"], "--h"),
     ])
     def test_flag_errors_are_usage_errors(self, args, flag):
         result = CliRunner().invoke(main, ["mcmc", "--d", "4", *args])
@@ -517,6 +529,28 @@ class TestHostileInput:
         assert result.exit_code == 3
         assert "entry (0, 1) = nan is not finite" in result.output
         assert "ok" not in result.output
+
+    @pytest.mark.parametrize("field, edit", [
+        ("dims", lambda doc: doc.update(dims="3223")),
+        ("dims", lambda doc: doc.update(dims=[3.5, 2, 2, 3])),
+        ("dims", lambda doc: doc.update(dims=[3, True, 2, 3])),
+        ("d", lambda doc: doc.update(d=4.0)),
+        ("d", lambda doc: doc.update(d="4")),
+        ("transition", lambda doc: doc.update(
+            transition=[[str(p) for p in row] for row in doc["transition"]])),
+        ("transition", lambda doc: doc["transition"][0].__setitem__(0, True)),
+        ("transition", lambda doc: doc["transition"][1].__setitem__(2, None)),
+        ("stationary", lambda doc: doc.update(stationary=[str(p) for p in doc["stationary"]])),
+    ])
+    def test_chain_file_fields_are_checked_not_cast(self, tmp_path, field, edit):
+        doc = json.loads(MIXED_CHAIN.read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["validate", str(path)])
+        assert result.exit_code == 3
+        assert f": {field} must be" in result.output
+        assert not result.output.startswith("ok")
 
     @pytest.mark.parametrize("command", ["validate", "select"])
     def test_reducible_chain_with_stored_pi_is_model_error(self, tmp_path, command):

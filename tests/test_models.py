@@ -75,6 +75,11 @@ class TestCurieWeissChain:
         with pytest.raises(ValidationError, match=message):
             curie_weiss_chain(CurieWeissParams(4, 0.001, 1.0))
 
+    @pytest.mark.parametrize("h", [float("inf"), float("-inf"), float("nan")])
+    def test_field_must_be_finite(self, h):
+        with pytest.raises(ValidationError, match="external field h must be finite"):
+            CurieWeissParams(4, 10.0, h)
+
     def test_spin_to_digit_convention(self):
         # state index 0 is all spins down: its energy is -sum_ij 2^{-|i-j|} + d h
         params = CurieWeissParams(3, 2.0, 0.25)

@@ -238,7 +238,7 @@ def test_compact_reduction_scatters_to_cube_sum(chain, data):
     chain both through the cube and through the support."""
     space, rows, pi, _ = chain
     d = space.d
-    S = SubsetMask(data.draw(st.integers(0, 2**d - 2)), d)  # short of the full mask
+    S = SubsetMask(data.draw(st.integers(1, 2**d - 2)), d)  # neither empty nor full
     drop = tuple(i for i in range(d) if i not in S)
     cube = (pi.probs[:, None] * rows).reshape(space.dims * 2)
     want = cube.sum(axis=drop + tuple(d + i for i in drop)).reshape(-1)

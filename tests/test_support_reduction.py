@@ -3,9 +3,9 @@
 A dense chain's edge measure is reduced in two contiguous passes, and a
 sparse chain's from P's non-zeros, in the order numpy's pairwise summation
 adds the cube, so every projection keeps the bits of ``cube.sum``.  These
-tests call each reduction directly on every mask and scatter its compact
-form, so a change in numpy's summation order shows up here as a named
-failure.
+tests call each reduction directly on every non-empty mask and scatter its
+compact form, so a change in numpy's summation order shows up here as a
+named failure.  The empty mask is no reduction: it gives the point mass.
 """
 
 import tracemalloc
@@ -79,7 +79,11 @@ SPECS = [6, 8, "mixed_3223"] + [
     (dims, zeros)
     for dims in [(3, 2, 2), (5, 5, 5, 5), (7, 3, 5, 2, 3), (2,) * 8]
     for zeros in (0.0, 0.9)
-] + [((3,) * 6, 0.9)]  # runs of 243 and 81 entries: two blocks, and tails
+] + [((3,) * 6, 0.9)]  # runs of 243 and 81 entries, not a multiple of 8
+
+
+def nonempty(d):
+    return [S for S in SubsetMask.full(d).subsets() if S.bits]
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -89,12 +93,12 @@ def test_every_mask_has_the_bits_of_cube_sum(spec):
     em = EdgeMeasure(P, pi)
     if em.cube is not None:
         em._hold_nonzeros()  # the support path, whatever the density
-    for S in SubsetMask.full(P.space.d).subsets():
+    for S in nonempty(P.space.d):
         assert np.array_equal(scattered(em._reduce_nonzeros(S), cube, S), cube_sum(cube, S)), S
 
 
-# every run length below one stride, 2 to 7 entries, and at (3,)*6 runs of
-# 243 and 81 entries that split into blocks
+# every run length that numpy adds in order, 2 to 7 entries, and at (3,)*6
+# runs of 243 and 81 entries
 DENSE_SPECS = ["mixed_3223", ((3, 2, 2), 0.9)] + [
     (dims, 0.0) for dims in [(3, 2, 2), (5, 5, 5, 5), (7, 3, 5, 2, 3), (3, 2, 7), (2,) * 8,
                              (3,) * 6]
@@ -108,25 +112,44 @@ def test_every_mask_of_the_cube_has_the_bits_of_cube_sum(spec):
     cube = cube_of(P, pi)
     em = EdgeMeasure(P, pi)
     assert em.cube is not None
-    for S in SubsetMask.full(P.space.d).subsets():
+    for S in nonempty(P.space.d):
         assert np.array_equal(scattered(em._reduce(S), cube, S), cube_sum(cube, S)), S
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3000), st.integers(1, 4), st.floats(0.002, 0.5), st.integers(0, 2**32 - 1))
-def test_pairwise_sums_of_any_run(run, groups, share, seed):
-    """Runs of any length, split into blocks of one or several depths,
-    against numpy's sum over the last axis of the dense rows."""
+@pytest.mark.parametrize("spec", [6, ((3, 2, 2), 0.0)], ids=str)
+def test_empty_mask_is_the_point_mass(spec):
+    """E_empty is the point mass, weight 1 in one cell, on either storage."""
+    P, pi = chain(spec)
+    em = EdgeMeasure(P, pi)
+    assert (em.cube is None) == (spec == 6)
+    empty = SubsetMask.empty(P.space.d)
+    assert em.weights(empty).tolist() == [1.0]
+    assert em.keep_in(empty).rows.tolist() == [[1.0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(2, 7), st.integers(1, 3000)), st.integers(1, 6),
+       st.floats(0.0005, 0.5), st.booleans(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_run_sums_of_any_run(run, groups, share, small, block, seed):
+    """Runs of any length, half of them 2 to 7 entries, many with one or two
+    values, against numpy's sum over the last axis of the dense rows; with
+    a small RUN_BLOCK the runs spread over several blocks, or are longer
+    than one."""
     rng = np.random.default_rng(seed)
     dense = rng.random((groups, run)) * (rng.random((groups, run)) < share)
-    dense[:, rng.integers(run)] += 1.0  # no group is empty
+    dense[:, rng.integers(run)] += 1.0  # no run is empty
     group, pos = np.nonzero(dense)
-    got = chain_core._pairwise_sums(group, pos, dense[group, pos], run)
+    start = np.ones(len(group), dtype=bool)
+    start[1:] = group[1:] != group[:-1]
+    with pytest.MonkeyPatch.context() as patch:
+        if small:
+            patch.setattr(chain_core, "RUN_BLOCK", block)
+        got = chain_core._run_sums(start, pos, dense[group, pos], run)
     assert np.array_equal(got, dense.sum(axis=1))
 
 
 def test_runs_over_a_block_at_d10(cw10):
-    """Runs of 512 and 256 entries split into two and four blocks."""
+    """Runs of 512 and 256 entries, many to a block."""
     P, pi = cw10
     cube = cube_of(P, pi)
     em = EdgeMeasure(P, pi)
@@ -157,7 +180,7 @@ def test_floor_weights_are_reduced_but_not_in_the_support():
         assert np.array_equal(got, want)
     assert len(em.support()[0]) == n
     cube = cube_of(P, pi)
-    for S in SubsetMask.full(5).subsets():
+    for S in nonempty(5):
         assert np.array_equal(scattered(em._reduce_nonzeros(S), cube, S), cube_sum(cube, S))
 
 

@@ -222,6 +222,18 @@ class Distribution:
         if abs(float(probs.sum()) - 1.0) > DISTRIBUTION_TOL:
             raise ValidationError(f"probabilities sum to {probs.sum()!r}, not 1")
 
+    @classmethod
+    def _adopt(cls, space: ProductStateSpace, probs: np.ndarray) -> "Distribution":
+        """Take over ``probs``, a fresh flat float array that nothing else
+        references, summed from a validated distribution: no defensive copy
+        and no check, since a marginal of a valid law is one; the array
+        becomes read-only."""
+        probs.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "probs", probs)
+        return out
+
     @property
     def min_prob(self) -> float:
         return float(self.probs.min())
@@ -482,14 +494,15 @@ def _dropped(mask: SubsetMask) -> tuple[int, ...]:
 
 
 def marginalize(dist: Distribution, mask: SubsetMask) -> Distribution:
-    """Marginal of ``dist`` on the coordinates in ``mask``."""
+    """Marginal of ``dist`` on the coordinates in ``mask``, adopted without
+    the checks ``dist`` has passed."""
     space = dist.space
     if mask.d != space.d:
         raise ValidationError("mask universe does not match space dimension")
     if mask.size == space.d:
         return dist
     out = dist.probs.reshape(space.dims).sum(axis=_dropped(mask))
-    return Distribution(space.subspace(mask), out.reshape(-1))
+    return Distribution._adopt(space.subspace(mask), out.reshape(-1))
 
 
 def weighted_support(mu: np.ndarray, M: TransitionMatrix) -> tuple[np.ndarray, ...]:
@@ -581,10 +594,12 @@ class EdgeMeasure:
     A reduction gives E_S in compact form: its non-zero cells as int32
     ascending flat indices and their values (a sparse chain may also keep
     a cell whose entries sum to 0).  Entropies read the values alone;
-    :meth:`keep_in` scatters them into an array.  Each
-    mask is reduced at most once, and the compact forms are kept while
-    they take no more bytes than the dense cube; past that, reductions are
-    computed and not kept.
+    :meth:`keep_in` scatters them into an array.  The cube's pass 1, the
+    run sums, depends only on the last kept coordinate, so it is computed
+    at most once per coordinate, not once per mask.  Each mask is reduced
+    at most once.  The compact forms and the run sums are kept while they
+    take no more bytes than the dense cube (``held_bytes``); past that,
+    they are computed and not kept.
     """
 
     def __init__(self, P: TransitionMatrix, pi: Distribution):
@@ -598,6 +613,7 @@ class EdgeMeasure:
         n = P.space.total
         self._held_cap = n * n * 8
         self._held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._runs: dict[int, tuple[np.ndarray]] = {}  # pass 1, by last kept coordinate
         self.held_bytes = 0
         self._support: tuple[np.ndarray, ...] | None = None
         self.cube: np.ndarray | None = None
@@ -631,7 +647,12 @@ class EdgeMeasure:
             return self._reduce_nonzeros(mask)
         kept = mask.indices()
         dims, d, last = self.space.dims, self.space.d, kept[-1]
-        runs = _sum_rows(self.cube.reshape(-1, math.prod(dims[last + 1:])))
+        run = math.prod(dims[last + 1:])
+        if run == 1:  # runs of one entry: the cube itself
+            runs = self.cube.reshape(-1)
+        else:
+            (runs,) = self._hold(self._runs, last,
+                                 lambda: (_sum_rows(self.cube.reshape(-1, run)),))
         drop = _dropped(mask)
         front = drop + tuple(d + i for i in drop if i < last)
         back = kept + tuple(d + i for i in kept)
@@ -648,7 +669,8 @@ class EdgeMeasure:
         x, y, _, w = self._nonzeros
         dims, n = self.space.dims, self.space.total
         kept = mask.indices()
-        code = np.zeros(n, dtype=np.intp)
+        # int32 suffices: cell codes stay below total_S^2 <= n^2 <= DENSE_ENTRY_CAP
+        code = np.zeros(n, dtype=np.int32)
         for i in kept:
             code = code * dims[i] + self._digits[i]
         total_s = math.prod(dims[i] for i in kept)
@@ -664,19 +686,26 @@ class EdgeMeasure:
         if total_s * total_s <= len(cell):
             return _compact(np.bincount(cell, w, minlength=total_s * total_s))
         cells, inverse = np.unique(cell, return_inverse=True)
-        return cells.astype(np.int32), np.bincount(inverse, w)
+        return cells, np.bincount(inverse, w)
+
+    def _hold(self, store: dict, key: int, make) -> tuple[np.ndarray, ...]:
+        """``store[key]``, the arrays ``make()`` gives on the first request;
+        they are kept, read-only, while ``held_bytes`` stays within the cap."""
+        held = store.get(key)
+        if held is None:
+            held = make()
+            nbytes = sum(arr.nbytes for arr in held)
+            if self.held_bytes + nbytes <= self._held_cap:
+                for arr in held:
+                    arr.setflags(write=False)
+                store[key] = held
+                self.held_bytes += nbytes
+        return held
 
     def _cells(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
         """E_S in compact form for a mask short of the full one, reduced on
         the first request."""
-        held = self._held.get(mask.bits)
-        if held is None:
-            held = self._reduce(mask)
-            nbytes = held[0].nbytes + held[1].nbytes
-            if self.held_bytes + nbytes <= self._held_cap:
-                self._held[mask.bits] = held
-                self.held_bytes += nbytes
-        return held
+        return self._hold(self._held, mask.bits, lambda: self._reduce(mask))
 
     def weights(self, mask: SubsetMask) -> np.ndarray:
         """E_S's entries as an entropy reads them, in row-major order: all

@@ -123,7 +123,8 @@ def _plan(dec: objectives.ObjectiveDecomposition, algorithm: str, ms: Sequence[i
           epsilon: float, batch_spec: str, oracle: bool) -> list[tuple[int, list[int] | None]]:
     """Check every flag of a sweep before its first search and return the
     (m, batch plan) of each row.  Local search takes no budget: one row,
-    labelled with the first m, and no entry with an exact cardinality."""
+    labelled with the first m, so no sweep, and no entry with an exact
+    cardinality."""
     kind = ALGORITHMS[algorithm][0]
     if dec.kind != kind:
         raise click.UsageError(
@@ -142,6 +143,10 @@ def _plan(dec: objectives.ObjectiveDecomposition, algorithm: str, ms: Sequence[i
         shown = f"{ms.start}..{ms.stop - 1}" if isinstance(ms, range) else "[]"
         raise click.UsageError(f"empty m range {shown}")
     if algorithm == "local-search":
+        if len(ms) > 1:
+            raise click.UsageError(
+                "--m-max: local search takes no budget and gives one row, not a sweep "
+                f"over m={ms[0]}..{ms[-1]}")
         if not 0 < epsilon < math.inf:
             raise click.UsageError(f"--epsilon must be positive and finite, not {epsilon!r}")
         if oracle and ms[0] < 0:  # the certificate's brute force takes |S| <= m
@@ -257,10 +262,13 @@ def run_selection(
         raise click.UsageError(f"unknown algorithm {algorithm!r}")
     search = ALGORITHMS[algorithm][1]
     rows: list[SelectionRow] = []
-    for m, plan in _plan(dec, algorithm, ms, epsilon, batch_spec, oracle):
+    plan = _plan(dec, algorithm, ms, epsilon, batch_spec, oracle)
+    # one optimum table per sweep: each candidate's g - c is evaluated once
+    table = optimizers.optimum_table(dec) if oracle else None
+    for m, batches in plan:
         start = time.perf_counter()
-        result = search(dec, m, epsilon, plan)
-        certificate = optimizers.certify(dec, m, result) if oracle else None
+        result = search(dec, m, epsilon, batches)
+        certificate = optimizers.certify(dec, m, result, table) if oracle else None
         elapsed = time.perf_counter() - start
 
         chosen = result.chosen

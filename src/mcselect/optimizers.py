@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .chain_core import GuardError, SubsetMask, ValidationError
-from .objectives import (
-    ObjectiveDecomposition, Partition, Parts, check_budget, parts_below, union_of)
+from .objectives import ObjectiveDecomposition, Partition, Parts, check_budget, union_of
 
 CERT_SLACK = 1e-9
 
@@ -224,6 +225,72 @@ def batch_greedy(
     return RunResult(S, f(S), steps)
 
 
+class OptimumTable:
+    """``fn`` at every candidate of a domain, the subsets of a ground set or
+    the tuples of parts below a pairwise-disjoint ceiling, as float64
+    indexed by the candidate's code in the binary counting order of
+    :meth:`SubsetMask.subsets` over their union.
+
+    The table fills lazily by size: a row evaluates only the candidates of
+    the sizes it admits that no earlier row did, in counting order, so a
+    sweep evaluates each candidate at most once.  Guarded: the candidate
+    count may not exceed 2^24.
+    """
+
+    def __init__(self, fn: Callable, domain: SubsetMask | Partition | Sequence[SubsetMask]):
+        if isinstance(domain, SubsetMask):
+            self._caps: Parts | None = None
+            ground = domain
+        else:
+            self._caps = tuple(domain.parts if isinstance(domain, Partition) else domain)
+            Partition(self._caps)  # checks pairwise disjointness
+            ground = union_of(self._caps)
+        if ground.size > 24:
+            raise GuardError(f"brute force over 2^{ground.size} candidates exceeds the 2^24 cap")
+        self._fn = fn
+        self._d = ground.d
+        self._positions = ground.indices()
+        sizes = np.zeros(1, dtype=np.int8)
+        for _ in self._positions:
+            sizes = np.concatenate((sizes, sizes + 1))
+        self._sizes = sizes
+        self._values = np.empty(len(sizes))
+        self._filled = np.zeros(ground.size + 1, dtype=bool)  # by size
+
+    def _candidate(self, code: int):
+        """The candidate with counting-order code ``code``."""
+        S = SubsetMask(sum(1 << p for t, p in enumerate(self._positions) if code >> t & 1),
+                       self._d)
+        return S if self._caps is None else tuple(cap & S for cap in self._caps)
+
+    def opt(self, m: int, constraint: str = "le"):
+        """The first maximizer in counting order over the candidates with
+        |S| <= m (or = m), and its value: the first-found optimum of a
+        streaming search.  A NaN value among them is an error naming its
+        candidate; -inf never wins."""
+        if constraint not in ("le", "eq"):
+            raise ValidationError(f"unknown constraint {constraint!r}")
+        m = min(max(m, -1), len(self._filled))  # clamped to -1..u+1, which admit the same sizes
+        sizes = self._sizes
+        feasible = sizes <= m if constraint == "le" else sizes == m
+        fresh = np.flatnonzero(feasible & ~self._filled[sizes])
+        self._values[fresh] = np.fromiter(
+            (self._fn(self._candidate(code)) for code in fresh.tolist()), float, len(fresh))
+        self._filled[0 if constraint == "le" else max(m, 0):m + 1] = True
+        codes = np.flatnonzero(feasible)
+        if not len(codes):
+            raise ValidationError("constraint admits no feasible candidate")
+        values = self._values[codes]
+        nan = np.flatnonzero(np.isnan(values))
+        if nan.size:
+            raise ValidationError(
+                f"the objective at {self._candidate(int(codes[nan[0]]))!r} is nan")
+        best = int(np.argmax(values))  # the first maximum
+        if values[best] == -math.inf:
+            raise ValidationError("every feasible candidate has the value -inf")
+        return self._candidate(int(codes[best])), float(values[best])
+
+
 def brute_force_opt(
     fn: Callable,
     domain: SubsetMask | Partition | Sequence[SubsetMask],
@@ -231,45 +298,25 @@ def brute_force_opt(
     constraint: str = "le",
 ):
     """Exhaustive maximization over subsets of a ground set, or over
-    partitions below a ceiling, under |S| <= m or = m.
-
-    Deterministic first-found tie-break in the binary counting order of
-    :meth:`SubsetMask.subsets`.  Guarded: the candidate count may not
-    exceed 2^24.
-    """
-    if isinstance(domain, SubsetMask):
-        caps: Parts = (domain,)
-        pick = lambda parts: parts[0]
-    else:
-        caps = tuple(domain.parts if isinstance(domain, Partition) else domain)
-        Partition(caps)  # checks pairwise disjointness
-        pick = lambda parts: parts
-    ground = union_of(caps)
-    if ground.size > 24:
-        raise GuardError(f"brute force over 2^{ground.size} candidates exceeds the 2^24 cap")
-    if constraint not in ("le", "eq"):
-        raise ValidationError(f"unknown constraint {constraint!r}")
-
-    best = None
-    best_value = -math.inf
-    for parts in parts_below(caps):
-        size = sum(part.size for part in parts)
-        if size > m or (constraint == "eq" and size != m):
-            continue
-        candidate = pick(parts)
-        value = fn(candidate)
-        if value > best_value:
-            best, best_value = candidate, value
-    if best is None:
-        raise ValidationError("constraint admits no feasible candidate")
-    return best, best_value
+    partitions below a ceiling, under |S| <= m or = m: one row of a fresh
+    :class:`OptimumTable`, with its first-found tie-break and guard."""
+    return OptimumTable(fn, domain).opt(m, constraint)
 
 
-def certify(dec: ObjectiveDecomposition, m: int, result: RunResult) -> Certificate:
+def optimum_table(dec: ObjectiveDecomposition) -> OptimumTable:
+    """The table of g - c over the decomposition's feasible domain, which
+    :func:`certify` reads; one per sweep serves all its rows."""
+    return OptimumTable(dec.gc, dec.ground if dec.kind == "subset" else dec.ceiling)
+
+
+def certify(dec: ObjectiveDecomposition, m: int, result: RunResult,
+            table: OptimumTable | None = None) -> Certificate:
     """Attach the distorted-greedy bound (1 - 1/e) g(OPT) - c(OPT) with OPT
-    found by brute force over the decomposition's feasible domain."""
-    domain: SubsetMask | Parts = dec.ground if dec.kind == "subset" else dec.ceiling
-    opt, _ = brute_force_opt(dec.gc, domain, m, dec.constraint)
+    read from ``table``, the decomposition's :func:`optimum_table` (a fresh
+    one when None)."""
+    if table is None:
+        table = optimum_table(dec)
+    opt, _ = table.opt(m, dec.constraint)
     g_opt, c_opt = dec.g(opt), dec.c(opt)
     lower = (1.0 - math.exp(-1.0)) * g_opt - c_opt
     chosen = result.chosen.parts if isinstance(result.chosen, Partition) else result.chosen

@@ -140,6 +140,29 @@ def brute_force_best(f, universe, m, constraint="le"):
     return best, best_val
 
 
+def naive_brute_force_opt(fn, domain, m, constraint="le"):
+    """The streaming exhaustive search: every subset of a ground set, or
+    every tuple of parts below a ceiling, in the binary counting order of
+    ``SubsetMask.subsets`` over their union; the first candidate whose value
+    beats every earlier one under |S| <= m (or = m) wins."""
+    if isinstance(domain, SubsetMask):
+        caps, pick = (domain,), lambda parts: parts[0]
+    else:
+        caps, pick = tuple(domain), lambda parts: parts
+    best, best_value = None, -math.inf
+    for parts in parts_below(caps):
+        size = sum(part.size for part in parts)
+        if size > m or (constraint == "eq" and size != m):
+            continue
+        candidate = pick(parts)
+        value = fn(candidate)
+        if value > best_value:
+            best, best_value = candidate, value
+    if best is None:
+        raise ValidationError("constraint admits no feasible candidate")
+    return best, best_value
+
+
 def naive_power_iteration(rows, tol=1e-12, max_iters=200_000):
     """The lazy power iteration with a dense ``v @ rows`` at every step:
     (pi, the steps taken, the last residual), pi None if ``max_iters``

@@ -362,6 +362,19 @@ class TestMarginalize:
         want = naive_marginal(pi.probs.tolist(), (2, 3, 2), keep)
         assert np.allclose(got.probs, want, atol=1e-14)
 
+    def test_adopted_marginal_has_the_bits_of_the_validating_path(self, rng):
+        """A marginal is adopted without a copy or a check: read-only, with
+        the bits of a Distribution built and validated from the same sum."""
+        dims = (2, 3, 2)
+        _, pi = random_chain(rng, dims)
+        for S in SubsetMask.full(3).subsets():
+            got = marginalize(pi, S)
+            drop = tuple(i for i in range(3) if i not in S)
+            want = Distribution(pi.space.subspace(S), pi.probs.reshape(dims).sum(axis=drop))
+            assert got.space == want.space
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert not got.probs.flags.writeable
+
 
 class TestProjection:
     def test_full_keep_returns_same_object(self, rng):

@@ -147,6 +147,8 @@ class TestSelect:
         ["--problem", "dist2indp-complement", "--m", "1", "--m-max", "3"],  # beyond d - 2
         ["--problem", "dist2stat", "--algorithm", "batch", "--batch-sizes", "2,0", "--m", "2"],
         ["--problem", "entropy", "--algorithm", "local-search", "--epsilon", "0"],
+        # local search gives one row, so a sweep is refused
+        ["--problem", "entropy", "--algorithm", "local-search", "--m", "1", "--m-max", "3"],
         ["--problem", "entropy", "--m", "1", "--oracle"],  # certificates need --out
         # rows with no block-order form
         ["--problem", "entropy", "--m", "1", "--block-order"],
@@ -184,6 +186,8 @@ class TestSelect:
                 assert f"{flag} must be" in result.output
         if "1,2||3" in args:
             assert "--V '1,2||3' has an empty group" in result.output
+        if "local-search" in args and "--m-max" in args:
+            assert "--m-max: local search takes no budget" in result.output
 
     def test_local_search_ends_on_a_non_positive_objective(self):
         # f = -D(P_{U-S} || independence) <= 0; the factor rule cycled on it

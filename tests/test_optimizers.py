@@ -1,11 +1,21 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers_naive import brute_force_best, random_product_chain, random_reversible_chain
+from helpers_naive import (
+    brute_force_best,
+    naive_brute_force_opt,
+    random_product_chain,
+    random_reversible_chain,
+)
+from mcselect import cli, optimizers
 from mcselect.chain_core import GuardError, SubsetMask, ValidationError
 from mcselect.objectives import (
+    ObjectiveDecomposition,
     Partition,
     Workspace,
     build_partition_objective,
@@ -13,6 +23,9 @@ from mcselect.objectives import (
     union_of,
 )
 from mcselect.optimizers import (
+    CERT_SLACK,
+    OptimumTable,
+    RunResult,
     batch_certificate,
     batch_greedy,
     brute_force_opt,
@@ -21,6 +34,7 @@ from mcselect.optimizers import (
     generalized_distorted_greedy,
     greedy,
     local_search,
+    optimum_table,
 )
 from mcselect.oracle import ratios
 
@@ -337,3 +351,128 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(GuardError):
             brute_force_opt(lambda S: 0.0, SubsetMask.full(25), 2, "le")
+
+
+def table_decomposition(caps, g_values, weights, c_const, constraint, subset):
+    """A decomposition whose g reads ``g_values`` at the counting-order code
+    of a candidate's union and whose c has integer weights, so ties occur."""
+    ground = union_of(caps)
+    positions = ground.indices()
+
+    def g(S):
+        bits = S.bits if subset else union_of(S).bits
+        return float(g_values[sum(1 << t for t, p in enumerate(positions) if bits >> p & 1)])
+
+    keys = [(j, e) for j, cap in enumerate(caps) for e in cap]
+    c_weights = {key[1] if subset else key: float(w) for key, w in zip(keys, weights)}
+    return ObjectiveDecomposition(
+        problem_id="table", kind="subset" if subset else "partition", constraint=constraint,
+        ground=ground, g=g, c_weights=c_weights, c_const=float(c_const), beta=0.0,
+        shift=0.0, report_sign=1.0, f_direct=g, ceiling=None if subset else caps)
+
+
+@st.composite
+def table_problems(draw):
+    d = draw(st.integers(1, 6))
+    slots = draw(st.lists(st.integers(-1, 2), min_size=d, max_size=d))
+    subset = draw(st.booleans())
+    if subset:
+        caps = (SubsetMask.of(d, (i for i, s in enumerate(slots) if s >= 0)),)
+    else:
+        k = max(slots) + 1 or 1
+        caps = tuple(SubsetMask.of(d, (i for i, s in enumerate(slots) if s == j))
+                     for j in range(k))
+    u = union_of(caps).size
+    g_values = draw(st.lists(st.integers(-3, 3), min_size=1 << u, max_size=1 << u))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=u, max_size=u))
+    dec = table_decomposition(caps, g_values, weights, draw(st.integers(-2, 2)),
+                              draw(st.sampled_from(["le", "eq"])), subset)
+    ms = draw(st.lists(st.integers(-1, u + 1), min_size=1, max_size=u + 3))
+    chosen_code = draw(st.integers(0, (1 << u) - 1))
+    return dec, ms, chosen_code
+
+
+def naive_certificate(dec, m, chosen):
+    """OPT by the streaming search, and the certificate's fields from it."""
+    domain = dec.ground if dec.kind == "subset" else dec.ceiling
+    opt, _ = naive_brute_force_opt(dec.gc, domain, m, dec.constraint)
+    g_opt, c_opt = dec.g(opt), dec.c(opt)
+    lower = (1.0 - math.exp(-1.0)) * g_opt - c_opt
+    return opt, g_opt.hex(), c_opt.hex(), dec.gc(chosen) >= lower - CERT_SLACK
+
+
+class TestOptimumTable:
+    @settings(max_examples=150, deadline=None)
+    @given(table_problems())
+    def test_certificates_match_the_streaming_search(self, problem):
+        """One table across a sweep, rows in any order, against the
+        streaming brute force: OPT, g(OPT), c(OPT) and the verdict."""
+        dec, ms, chosen_code = problem
+        ground = union_of((dec.ground,) if dec.kind == "subset" else dec.ceiling)
+        chosen = next(itertools.islice(ground.subsets(), chosen_code, None))
+        if dec.kind == "partition":
+            chosen = tuple(cap & chosen for cap in dec.ceiling)
+        result = RunResult(chosen, 0.0, ())
+        table = optimum_table(dec)
+        for m in ms:
+            try:
+                want = naive_certificate(dec, m, chosen)
+            except ValidationError as err:
+                with pytest.raises(ValidationError, match=str(err)):
+                    certify(dec, m, result, table)
+                continue
+            cert = certify(dec, m, result, table)
+            assert (cert.opt, cert.g_opt.hex(), cert.c_opt.hex(), cert.satisfied) == want, m
+
+    def test_fills_lazily_by_size(self):
+        calls = []
+        table = OptimumTable(lambda S: calls.append(S) or float(S.size % 3), SubsetMask.full(8))
+        for m in (1, 2, 1):
+            table.opt(m, "le")
+        assert max(S.size for S in calls) == 2
+        assert len(calls) == len(set(calls)) == 1 + 8 + 28
+        calls.clear()
+        table.opt(3, "eq")
+        assert len(calls) == 56 and {S.size for S in calls} == {3}
+
+    @pytest.mark.parametrize("problem, algorithm, ms", [
+        ("entropy", "distorted", range(1, 3)),
+        ("dist2indp", "greedy", range(2, 4)),  # "eq" rows: sizes 2 and 3 only
+    ])
+    def test_a_sweep_evaluates_no_larger_candidate(self, monkeypatch, problem, algorithm, ms):
+        P, pi = random_reversible_chain(np.random.default_rng(3), (2,) * 6)
+        dec = build_subset_objective(problem, P, pi)
+        sizes = []
+
+        class Spy(OptimumTable):
+            def __init__(self, fn, domain):
+                super().__init__(lambda S: sizes.append(S.size) or fn(S), domain)
+
+        monkeypatch.setattr(optimizers, "OptimumTable", Spy)
+        cli.run_selection(dec, algorithm, ms, oracle=True)
+        admitted = [k for k in range(7) if (k in ms if dec.constraint == "eq" else k <= ms[-1])]
+        assert set(sizes) == set(admitted)
+        assert len(sizes) == sum(math.comb(6, k) for k in admitted)  # each candidate once
+
+    def test_nan_is_an_error_naming_the_first_nan_candidate(self):
+        nan_at_pairs = lambda S: math.nan if S.size == 2 else float(S.size)
+        with pytest.raises(ValidationError, match=r"SubsetMask\(\{0, 1\}, d=3\) is nan"):
+            brute_force_opt(nan_at_pairs, SubsetMask.full(3), 3)
+        with pytest.raises(ValidationError, match=r"SubsetMask\(\{\}, d=3\) is nan"):
+            brute_force_opt(lambda S: math.nan, SubsetMask.full(3), 3)
+        # a NaN the row does not admit is never read
+        assert brute_force_opt(nan_at_pairs, SubsetMask.full(3), 1)[0].size == 1
+
+    def test_infinities_keep_the_first_found_order(self):
+        inf_at_pairs = lambda S: math.inf if S.size == 2 else float(S.size)
+        assert brute_force_opt(inf_at_pairs, SubsetMask.full(3), 3) == (
+            SubsetMask.of(3, (0, 1)), math.inf)
+        # -inf never wins; a row of -inf alone has no optimum
+        minus_inf_but_last = lambda S: 0.0 if S.bits == 0b110 else -math.inf
+        assert brute_force_opt(minus_inf_but_last, SubsetMask.full(3), 2)[0].bits == 0b110
+        with pytest.raises(ValidationError, match="-inf"):
+            brute_force_opt(lambda S: -math.inf, SubsetMask.full(3), 2)
+
+    def test_unknown_constraint(self):
+        with pytest.raises(ValidationError, match="unknown constraint"):
+            brute_force_opt(lambda S: 0.0, SubsetMask.full(2), 1, "ge")

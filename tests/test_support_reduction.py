@@ -116,6 +116,52 @@ def test_every_mask_of_the_cube_has_the_bits_of_cube_sum(spec):
         assert np.array_equal(scattered(em._reduce(S), cube, S), cube_sum(cube, S)), S
 
 
+def same_bits(a, b):
+    return a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+
+HOLD_SPECS = ["mixed_3223", ((3, 2, 7), 0.0), ((3,) * 6, 0.0), ((2,) * 8, 0.0)]
+
+
+@pytest.mark.parametrize("spec", HOLD_SPECS, ids=str)
+def test_held_pass_one_keeps_the_bits(spec, monkeypatch):
+    """Every mask, in shuffled order on one measure that holds its run
+    sums, against a fresh measure's reduction; pass 1 runs at most once
+    per last kept coordinate (none for the last coordinate, whose runs
+    are single entries)."""
+    P, pi = chain(spec)
+    d = P.space.d
+    masks = nonempty(d)
+    fresh = [EdgeMeasure(P, pi)._reduce(S) for S in masks]
+    calls = []
+    sum_rows = chain_core._sum_rows
+    monkeypatch.setattr(chain_core, "_sum_rows",
+                        lambda block: calls.append(block.shape[1]) or sum_rows(block))
+    em = EdgeMeasure(P, pi)
+    assert em.cube is not None
+    order = np.random.default_rng(d).permutation(len(masks))
+    for i in order:
+        assert same_bits(em._reduce(masks[i]), fresh[i]), masks[i]
+    assert len(calls) == len(set(calls)) == d - 1
+    assert all(arr.flags.writeable is False for (arr,) in em._runs.values())
+
+
+@pytest.mark.parametrize("cap", [0, 3000, 40_000])
+def test_held_bytes_stay_within_a_small_cap(cap):
+    """Past the cap, run sums and compact cells are computed and not kept,
+    with the same bits."""
+    P, pi = chain(((3, 2, 7), 0.0))
+    masks = nonempty(3)
+    fresh = [EdgeMeasure(P, pi)._reduce(S) for S in masks]
+    em = EdgeMeasure(P, pi)
+    em._held_cap = cap
+    for S, want in zip(masks * 2, fresh * 2):
+        assert same_bits(em._cells(S), want), S
+        assert em.held_bytes <= cap
+    held = [arr for store in (em._runs, em._held) for arrays in store.values() for arr in arrays]
+    assert em.held_bytes == sum(arr.nbytes for arr in held)
+
+
 @pytest.mark.parametrize("spec", [6, ((3, 2, 2), 0.0)], ids=str)
 def test_empty_mask_is_the_point_mass(spec):
     """E_empty is the point mass, weight 1 in one cell, on either storage."""

@@ -224,10 +224,8 @@ class Distribution:
 
     @classmethod
     def _adopt(cls, space: ProductStateSpace, probs: np.ndarray) -> "Distribution":
-        """Take over ``probs``, a fresh flat float array that nothing else
-        references, summed from a validated distribution: no defensive copy
-        and no check, since a marginal of a valid law is one; the array
-        becomes read-only."""
+        """Take over ``probs``, a fresh flat float array summed from a
+        validated distribution, read-only and with no copy or check."""
         probs.setflags(write=False)
         out = object.__new__(cls)
         object.__setattr__(out, "space", space)
@@ -536,14 +534,14 @@ def _run_sums(start: np.ndarray, pos: np.ndarray, w: np.ndarray, run: int) -> np
     :func:`_sum_rows`, RUN_BLOCK floats or one run at a time."""
     first = np.flatnonzero(start)
     sums = w[first]
-    many = np.diff(first, append=len(w)) > 1
+    counts = np.diff(first, append=len(w))
+    many = counts > 1
     runs = np.flatnonzero(many)
     if not len(runs):
         return sums
-    of = np.cumsum(start) - 1
-    at = many[of]
+    at = np.repeat(many, counts)
     # each value's place in the rows of all runs with several values
-    place = (np.cumsum(many)[of[at]] - 1) * run + pos[at]
+    place = np.repeat(np.arange(0, len(runs) * run, run), counts[runs]) + pos[at]
     w = w[at]
     rows = min(len(runs), max(1, RUN_BLOCK // run))
     block = np.zeros(rows * run)
@@ -677,16 +675,16 @@ class EdgeMeasure:
         cell = code[x] * total_s + code[y]
         run = math.prod(dims[kept[-1] + 1:])
         if run > 1:
-            flat = x * n + y
-            run_of = flat // run
-            start = np.ones(len(flat), dtype=bool)
-            start[1:] = run_of[1:] != run_of[:-1]
-            w = _run_sums(start, flat % run, w, run)
+            pos = x * n + y  # each entry's flat index, then its offset in its run
+            start = np.ones(len(pos), dtype=bool)
+            start[1:] = pos[1:] // run != pos[:-1] // run
+            pos %= run
+            w = _run_sums(start, pos, w, run)
             cell = cell[start]
         if total_s * total_s <= len(cell):
             return _compact(np.bincount(cell, w, minlength=total_s * total_s))
-        cells, inverse = np.unique(cell, return_inverse=True)
-        return cells, np.bincount(inverse, w)
+        cells = np.unique(cell)
+        return cells, np.bincount(np.searchsorted(cells, cell), w)
 
     def _hold(self, store: dict, key: int, make) -> tuple[np.ndarray, ...]:
         """``store[key]``, the arrays ``make()`` gives on the first request;

@@ -229,12 +229,10 @@ class OptimumTable:
     """``fn`` at every candidate of a domain, the subsets of a ground set or
     the tuples of parts below a pairwise-disjoint ceiling, as float64
     indexed by the candidate's code in the binary counting order of
-    :meth:`SubsetMask.subsets` over their union.
-
-    The table fills lazily by size: a row evaluates only the candidates of
-    the sizes it admits that no earlier row did, in counting order, so a
-    sweep evaluates each candidate at most once.  Guarded: the candidate
-    count may not exceed 2^24.
+    :meth:`SubsetMask.subsets` over their union.  It fills lazily: a row
+    evaluates, in counting order, only the candidates of the sizes it
+    admits that no earlier row did.  Guarded: the candidate count may not
+    exceed 2^24.
     """
 
     def __init__(self, fn: Callable, domain: SubsetMask | Partition | Sequence[SubsetMask]):
@@ -255,7 +253,7 @@ class OptimumTable:
             sizes = np.concatenate((sizes, sizes + 1))
         self._sizes = sizes
         self._values = np.empty(len(sizes))
-        self._filled = np.zeros(ground.size + 1, dtype=bool)  # by size
+        self._filled = np.zeros(len(sizes), dtype=bool)
 
     def _candidate(self, code: int):
         """The candidate with counting-order code ``code``."""
@@ -270,13 +268,11 @@ class OptimumTable:
         candidate; -inf never wins."""
         if constraint not in ("le", "eq"):
             raise ValidationError(f"unknown constraint {constraint!r}")
-        m = min(max(m, -1), len(self._filled))  # clamped to -1..u+1, which admit the same sizes
-        sizes = self._sizes
-        feasible = sizes <= m if constraint == "le" else sizes == m
-        fresh = np.flatnonzero(feasible & ~self._filled[sizes])
+        feasible = self._sizes <= m if constraint == "le" else self._sizes == m
+        fresh = np.flatnonzero(feasible & ~self._filled)
         self._values[fresh] = np.fromiter(
             (self._fn(self._candidate(code)) for code in fresh.tolist()), float, len(fresh))
-        self._filled[0 if constraint == "le" else max(m, 0):m + 1] = True
+        self._filled[fresh] = True
         codes = np.flatnonzero(feasible)
         if not len(codes):
             raise ValidationError("constraint admits no feasible candidate")

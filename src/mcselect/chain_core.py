@@ -683,8 +683,8 @@ class EdgeMeasure:
             cell = cell[start]
         if total_s * total_s <= len(cell):
             return _compact(np.bincount(cell, w, minlength=total_s * total_s))
-        cells = np.unique(cell)
-        return cells, np.bincount(np.searchsorted(cells, cell), w)
+        cells, inverse = np.unique(cell, return_inverse=True)
+        return cells, np.bincount(inverse, w)
 
     def _hold(self, store: dict, key: int, make) -> tuple[np.ndarray, ...]:
         """``store[key]``, the arrays ``make()`` gives on the first request;

@@ -64,6 +64,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adopt(cls, space: "ProductStateSpace", name: str, arr: np.ndarray):
+    """A ``cls`` on ``space`` that takes over ``arr``, a fresh float array
+    that nothing else references, as its field ``name``: read-only, without
+    the defensive copy or the checks (for arrays valid by construction,
+    such as the rows of a keep-in chain or a marginal of a validated law)."""
+    arr.setflags(write=False)
+    out = object.__new__(cls)
+    object.__setattr__(out, "space", space)
+    object.__setattr__(out, name, arr)
+    return out
+
+
 @dataclass(frozen=True)
 class ProductStateSpace:
     """Cartesian product of finite coordinate spaces.
@@ -222,16 +234,6 @@ class Distribution:
         if abs(float(probs.sum()) - 1.0) > DISTRIBUTION_TOL:
             raise ValidationError(f"probabilities sum to {probs.sum()!r}, not 1")
 
-    @classmethod
-    def _adopt(cls, space: ProductStateSpace, probs: np.ndarray) -> "Distribution":
-        """Take over ``probs``, a fresh flat float array summed from a
-        validated distribution, read-only and with no copy or check."""
-        probs.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "probs", probs)
-        return out
-
     @property
     def min_prob(self) -> float:
         return float(self.probs.min())
@@ -283,17 +285,6 @@ class TransitionMatrix:
             raise ValidationError(f"matrix shape {rows.shape} does not match space size {n}")
 
     @classmethod
-    def _adopt(cls, space: ProductStateSpace, rows: np.ndarray) -> "TransitionMatrix":
-        """Take over ``rows``, a fresh ``(total, total)`` float array that
-        nothing else references, without the defensive copy; the array
-        becomes read-only."""
-        rows.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "rows", rows)
-        return out
-
-    @classmethod
     def _from_support(cls, space: ProductStateSpace, x: np.ndarray, y: np.ndarray,
                       p: np.ndarray) -> "TransitionMatrix":
         """The matrix with the non-zeros ``p`` at ``(x, y)``, in row-major
@@ -302,7 +293,7 @@ class TransitionMatrix:
         as the rows they scatter into."""
         n = space.total
         if SPARSE_SHARE * len(p) >= n * n:
-            return cls._adopt(space, _scatter(n, x, y, p))
+            return _adopt(cls, space, "rows", _scatter(n, x, y, p))
         out = object.__new__(cls)
         object.__setattr__(out, "space", space)
         for arr in (x, y, p):
@@ -500,7 +491,7 @@ def marginalize(dist: Distribution, mask: SubsetMask) -> Distribution:
     if mask.size == space.d:
         return dist
     out = dist.probs.reshape(space.dims).sum(axis=_dropped(mask))
-    return Distribution._adopt(space.subspace(mask), out.reshape(-1))
+    return _adopt(Distribution, space.subspace(mask), "probs", out.reshape(-1))
 
 
 def weighted_support(mu: np.ndarray, M: TransitionMatrix) -> tuple[np.ndarray, ...]:
@@ -728,7 +719,7 @@ class EdgeMeasure:
         e_s[index] = values
         e_s = e_s.reshape(space.total, space.total)
         e_s /= e_s.sum(axis=1)[:, None]
-        return TransitionMatrix._adopt(space, e_s)
+        return _adopt(TransitionMatrix, space, "rows", e_s)
 
     def support(self) -> tuple[np.ndarray, ...]:
         """P's support weighted by pi, ``weighted_support(pi, P)``: read-only

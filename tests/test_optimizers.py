@@ -1,7 +1,6 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -439,8 +438,9 @@ class TestOptimumTable:
         ("entropy", "distorted", range(1, 3)),
         ("dist2indp", "greedy", range(2, 4)),  # "eq" rows: sizes 2 and 3 only
     ])
-    def test_a_sweep_evaluates_no_larger_candidate(self, monkeypatch, problem, algorithm, ms):
-        P, pi = random_reversible_chain(np.random.default_rng(3), (2,) * 6)
+    def test_a_sweep_evaluates_no_larger_candidate(self, monkeypatch, rng, problem, algorithm,
+                                                   ms):
+        P, pi = random_reversible_chain(rng, (2,) * 6)
         dec = build_subset_objective(problem, P, pi)
         sizes = []
 

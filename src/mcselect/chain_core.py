@@ -477,11 +477,6 @@ def stationary_distribution(
     return Distribution(P.space, v)
 
 
-def _dropped(mask: SubsetMask) -> tuple[int, ...]:
-    """The coordinates outside ``mask``: the axes a projection sums out."""
-    return tuple(i for i in range(mask.d) if i not in mask)
-
-
 def marginalize(dist: Distribution, mask: SubsetMask) -> Distribution:
     """Marginal of ``dist`` on the coordinates in ``mask``, adopted without
     the checks ``dist`` has passed."""
@@ -490,7 +485,7 @@ def marginalize(dist: Distribution, mask: SubsetMask) -> Distribution:
         raise ValidationError("mask universe does not match space dimension")
     if mask.size == space.d:
         return dist
-    out = dist.probs.reshape(space.dims).sum(axis=_dropped(mask))
+    out = dist.probs.reshape(space.dims).sum(axis=tuple(i for i in range(mask.d) if i not in mask))
     return _adopt(Distribution, space.subspace(mask), "probs", out.reshape(-1))
 
 
@@ -574,11 +569,14 @@ class EdgeMeasure:
     ``cube`` over ``dims + dims`` (source digits, then target digits), and
     its support is found on first use.  A sparse P is held as the non-zeros
     P keeps, and no n x n array is built.  Both reduce in one order, that
-    of ``cube.sum`` over the dropped digits, so both give its bits: numpy
-    sums each run of trailing dropped target digits (past the last kept
-    coordinate), :func:`_sum_rows` for both storages, and each cell adds
-    its runs in row-major order of its other dropped digits.  The empty
-    mask keeps nothing to reduce: E_empty is the point mass 1.
+    of ``cube.sum`` over the dropped digits, so both give its bits.  Pass 1
+    is numpy's sum of each run of trailing dropped target digits (past the
+    last kept coordinate): :func:`_sum_rows` over the cube's rows, or
+    :func:`_run_sums` over the runs the non-zeros touch.  Pass 2 is one
+    ``np.bincount`` over the runs' cells (kept source digits, then kept
+    target digits), which adds each cell's runs in input order: row-major
+    in its other dropped digits.  The empty mask keeps nothing to reduce:
+    E_empty is the point mass 1.
 
     A reduction gives E_S in compact form: its non-zero cells as int32
     ascending flat indices and their values (a sparse chain may also keep
@@ -606,6 +604,9 @@ class EdgeMeasure:
         self.held_bytes = 0
         self._support: tuple[np.ndarray, ...] | None = None
         self.cube: np.ndarray | None = None
+        states = np.arange(n)  # each state's digits, as narrow codes
+        self._digits = [(states // math.prod(dims[i + 1:]) % radix).astype(
+            np.min_scalar_type(radix - 1)) for i, radix in enumerate(dims)]
         if _sparse_nonzeros(P) is not None:
             self._hold_nonzeros()
         else:
@@ -613,49 +614,20 @@ class EdgeMeasure:
             self.cube.setflags(write=False)
 
     def _hold_nonzeros(self) -> None:
-        """Hold P's non-zeros weighted by pi, and each state's digits as
-        narrow codes."""
+        """Hold P's non-zeros weighted by pi."""
         x, y, p = self.P._nonzeros or _scan(self.P)
         self._nonzeros = (x, y, p, self.pi.probs[x] * p)
         for arr in self._nonzeros:
             arr.setflags(write=False)
-        dims = self.space.dims
-        states = np.arange(self.space.total)
-        self._digits = [(states // math.prod(dims[i + 1:]) % radix).astype(
-            np.min_scalar_type(radix - 1)) for i, radix in enumerate(dims)]
 
     def _reduce(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
         """The one reduction of the edge measure: sum out the digits outside
-        ``mask`` at both endpoints, in compact form.  The cube is reduced in
-        two contiguous passes: sum each run, then move the other dropped
-        digits in front of the kept ones and add each cell's runs in order.
-        The empty mask gives the point mass on either storage."""
+        ``mask`` at both endpoints, in compact form and in the order the
+        class states.  Each cell adds its runs into a dense array when E_S
+        has no more cells than there are runs (always so on the cube), else
+        over the distinct cells only.  The empty mask gives the point mass."""
         if not mask.bits:
             return np.zeros(1, dtype=np.int32), np.ones(1)
-        if self.cube is None:
-            return self._reduce_nonzeros(mask)
-        kept = mask.indices()
-        dims, d, last = self.space.dims, self.space.d, kept[-1]
-        run = math.prod(dims[last + 1:])
-        if run == 1:  # runs of one entry: the cube itself
-            runs = self.cube.reshape(-1)
-        else:
-            (runs,) = self._hold(self._runs, last,
-                                 lambda: (_sum_rows(self.cube.reshape(-1, run)),))
-        drop = _dropped(mask)
-        front = drop + tuple(d + i for i in drop if i < last)
-        back = kept + tuple(d + i for i in kept)
-        moved = runs.reshape(dims + dims[:last + 1]).transpose(front + back)
-        cells = math.prod(moved.shape[len(front):])
-        return _compact(np.add.reduce(moved.reshape(-1, cells), axis=0))
-
-    def _reduce_nonzeros(self, mask: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
-        """``cube.sum`` over the dropped digits, bit for bit and in compact
-        form, from the held non-zeros, in the order the class states, for a
-        mask that keeps a coordinate.  Each cell adds its runs into a dense
-        array when E_S has no more cells than there are runs, else over the
-        distinct cells only."""
-        x, y, _, w = self._nonzeros
         dims, n = self.space.dims, self.space.total
         kept = mask.indices()
         # int32 suffices: cell codes stay below total_S^2 <= n^2 <= DENSE_ENTRY_CAP
@@ -663,15 +635,24 @@ class EdgeMeasure:
         for i in kept:
             code = code * dims[i] + self._digits[i]
         total_s = math.prod(dims[i] for i in kept)
-        cell = code[x] * total_s + code[y]
         run = math.prod(dims[kept[-1] + 1:])
-        if run > 1:
-            pos = x * n + y  # each entry's flat index, then its offset in its run
-            start = np.ones(len(pos), dtype=bool)
-            start[1:] = pos[1:] // run != pos[:-1] // run
-            pos %= run
-            w = _run_sums(start, pos, w, run)
-            cell = cell[start]
+        if self.cube is not None:
+            if run == 1:  # runs of one entry: the cube itself
+                w = self.cube.reshape(-1)
+            else:
+                (w,) = self._hold(self._runs, kept[-1],
+                                  lambda: (_sum_rows(self.cube.reshape(-1, run)),))
+            cell = (code[:, None] * total_s + code[::run]).reshape(-1)  # source, target run
+        else:
+            x, y, _, w = self._nonzeros
+            cell = code[x] * total_s + code[y]
+            if run > 1:
+                pos = x * n + y  # each entry's flat index, then its offset in its run
+                start = np.ones(len(pos), dtype=bool)
+                start[1:] = pos[1:] // run != pos[:-1] // run
+                pos %= run
+                w = _run_sums(start, pos, w, run)
+                cell = cell[start]
         if total_s * total_s <= len(cell):
             return _compact(np.bincount(cell, w, minlength=total_s * total_s))
         cells, inverse = np.unique(cell, return_inverse=True)

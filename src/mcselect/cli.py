@@ -120,7 +120,7 @@ def _batch_plan(spec: str, m: int) -> list[int]:
 
 
 def _plan(dec: objectives.ObjectiveDecomposition, algorithm: str, ms: Sequence[int],
-          epsilon: float, batch_spec: str, oracle: bool) -> list[tuple[int, list[int] | None]]:
+          epsilon: float, batch_spec: str) -> list[tuple[int, list[int] | None]]:
     """Check every flag of a sweep before its first search and return the
     (m, batch plan) of each row.  Local search takes no budget: one row,
     labelled with the first m, so no sweep, and no entry with an exact
@@ -149,8 +149,8 @@ def _plan(dec: objectives.ObjectiveDecomposition, algorithm: str, ms: Sequence[i
                 f"over m={ms[0]}..{ms[-1]}")
         if not 0 < epsilon < math.inf:
             raise click.UsageError(f"--epsilon must be positive and finite, not {epsilon!r}")
-        if oracle and ms[0] < 0:  # the certificate's brute force takes |S| <= m
-            raise click.UsageError("cardinality constraint must be non-negative")
+        if ms[0] < 0:  # the row's label, and the certificate's |S| <= m
+            raise click.UsageError(f"--m must be non-negative, not {ms[0]}")
         return [(ms[0], None)]
     try:
         for m in ms:
@@ -262,7 +262,7 @@ def run_selection(
         raise click.UsageError(f"unknown algorithm {algorithm!r}")
     search = ALGORITHMS[algorithm][1]
     rows: list[SelectionRow] = []
-    plan = _plan(dec, algorithm, ms, epsilon, batch_spec, oracle)
+    plan = _plan(dec, algorithm, ms, epsilon, batch_spec)
     # one optimum table per sweep: each candidate's g - c is evaluated once
     table = optimizers.optimum_table(dec) if oracle else None
     for m, batches in plan:

@@ -77,7 +77,8 @@ def _scan(
     Round i scores every (slot j, element e in caps[j] minus S_j) by
     kappa * (g(S + e in slot j) - g(S)) - penalty(j, e) and takes the q best,
     ties broken on the smallest (slot, element); a subset is the one-slot
-    case, recorded with slot None unless ``slotted``.  A round that accepts
+    case, recorded with slot None unless ``slotted``.  A NaN score is an
+    error naming the first candidate that has one.  A round that accepts
     nothing at kappa 1 ends the run, since nothing changes afterwards.
     """
     parts: Parts = tuple(SubsetMask.empty(cap.d) for cap in caps)
@@ -86,8 +87,12 @@ def _scan(
     g_current = g(parts)
     for i, (kappa, q) in enumerate(rounds):
         # negated scores, so that ascending order puts the best first
-        ranked = sorted((-(kappa * (g(grown(j, e)) - g_current) - penalty(j, e)), j, e)
-                        for j, cap in enumerate(caps) for e in cap - parts[j])
+        ranked = [(-(kappa * (g(grown(j, e)) - g_current) - penalty(j, e)), j, e)
+                  for j, cap in enumerate(caps) for e in cap - parts[j]]
+        for neg_score, j, e in ranked:
+            if math.isnan(neg_score):
+                raise ValidationError(f"round {i}: the score of element {e} in slot {j} is nan")
+        ranked.sort()
         if not ranked:
             break  # every ceiling group exhausted: remaining rounds no-op
         accepted = False
@@ -164,8 +169,8 @@ def local_search(
     counts against ``max_steps``.  Returns the better of the final S and its
     complement in the ground set.
     """
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be positive and finite, not {epsilon!r}")
     d = ground.size
     if d == 0:
         empty = SubsetMask.empty(ground.d)
@@ -218,7 +223,7 @@ def batch_greedy(
     check_batch_sizes(sizes, m)
     check_budget(m, ground, "eq")
     base = f(SubsetMask.empty(ground.d))
-    if abs(base) > 1e-9:
+    if not abs(base) <= 1e-9:  # NaN fails too
         raise ValidationError(f"batch greedy requires f(empty) = 0, got {base!r}")
     (S,), steps = _scan(lambda parts: f(parts[0]), (ground,), "eq",
                         [(1.0, q) for q in sizes], lambda j, e: 0.0, slotted=False)

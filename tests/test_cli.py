@@ -167,6 +167,8 @@ class TestSelect:
         ["--problem", "entropy", "--m", "1", "--h", "nan"],
         ["--problem", "k-entropy", "--algorithm", "gen-distorted", "--V", "1,2||3", "--m", "1"],
         *PAIRING_ERRORS,
+        # local search labels its one row with --m, which may not be negative
+        ["--problem", "entropy", "--algorithm", "local-search", "--m", "-1"],
     ])
     def test_flag_errors_are_usage_errors(self, args):
         result = CliRunner().invoke(main, ["select", "--d", "4", *args])
@@ -188,6 +190,8 @@ class TestSelect:
             assert "--V '1,2||3' has an empty group" in result.output
         if "local-search" in args and "--m-max" in args:
             assert "--m-max: local search takes no budget" in result.output
+        if "-1" in args:
+            assert "--m must be non-negative, not -1" in result.output
 
     def test_local_search_ends_on_a_non_positive_objective(self):
         # f = -D(P_{U-S} || independence) <= 0; the factor rule cycled on it

@@ -79,6 +79,23 @@ class TestGreedy:
         result = greedy(dec.f, dec.ground, 3, dec.constraint)
         assert result.chosen.size == 3
 
+    def test_nan_score_is_an_error_naming_its_candidate(self):
+        f = lambda S: math.nan if S.bits == 0b101 else float(S.size)
+        assert greedy(f, SubsetMask.full(3), 1).chosen == SubsetMask.of(3, (0,))
+        with pytest.raises(ValidationError, match="round 1: the score of element 2 in slot 0"):
+            greedy(f, SubsetMask.full(3), 2, "eq")
+        with pytest.raises(ValidationError, match="round 0: the score of element 0 in slot 1"):
+            optimizers._scan(lambda parts: math.nan if parts[1] else 0.0,
+                             (SubsetMask.of(2, (1,)), SubsetMask.of(2, (0,))), "le",
+                             [(1.0, 1)], lambda j, e: 0.0, slotted=True)
+
+    def test_infinite_scores_keep_their_order(self):
+        minus_inf_at_0 = lambda S: -math.inf if 0 in S else float(S.size)
+        assert greedy(minus_inf_at_0, SubsetMask.full(3), 2).chosen == SubsetMask.of(3, (1, 2))
+        inf_at_2 = lambda S: math.inf if 2 in S else float(S.size)
+        result = greedy(inf_at_2, SubsetMask.full(3), 1)
+        assert (result.chosen, result.objective_value) == (SubsetMask.of(3, (2,)), math.inf)
+
     def test_budget_exceeding_ground_rejected(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2))
         dec = build_subset_objective("entropy", P, pi)
@@ -251,6 +268,11 @@ class TestLocalSearch:
         with pytest.raises(ValidationError):
             local_search(lambda S: 0.0, SubsetMask.full(2), 0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_refuses_an_epsilon_that_is_not_finite(self, epsilon):
+        with pytest.raises(ValidationError, match="epsilon must be positive and finite"):
+            local_search(lambda S: float(S.size), SubsetMask.full(3), epsilon)
+
     @pytest.mark.parametrize("f, scores", [
         (lambda S: min(S.size - 3, 0) - 1.0, [-3.0, -2.0, -1.0]),  # negative, flat from |S|=3
         (lambda S: 0.0, [0.0]),  # zero plateau
@@ -292,6 +314,10 @@ class TestBatchGreedy:
         P, pi = random_reversible_chain(rng, (2, 2))
         with pytest.raises(ValidationError, match="empty"):
             batch_greedy(lambda S: 1.0 + S.size, SubsetMask.full(2), 1, [1])
+
+    def test_refuses_nan_at_empty(self):
+        with pytest.raises(ValidationError, match="f\\(empty\\) = 0, got nan"):
+            batch_greedy(lambda S: math.nan, SubsetMask.full(3), 2, [1, 1])
 
     def test_bound_with_exact_ratios(self, rng):
         for _ in range(3):

@@ -1,11 +1,12 @@
 """Both paths of EdgeMeasure against numpy's own reduction of the cube.
 
-A dense chain's edge measure is reduced in two contiguous passes, and a
-sparse chain's from P's non-zeros, in the order numpy's pairwise summation
-adds the cube, so every projection keeps the bits of ``cube.sum``.  These
-tests call each reduction directly on every non-empty mask and scatter its
-compact form, so a change in numpy's summation order shows up here as a
-named failure.  The empty mask is no reduction: it gives the point mass.
+A dense chain's edge measure is reduced from its cube, and a sparse
+chain's from P's non-zeros, in the order numpy's summation adds the cube,
+so every projection keeps the bits of ``cube.sum``.  These tests call the
+reduction directly on every non-empty mask, through either storage, and
+scatter its compact form, so a change in numpy's summation order shows up
+here as a named failure.  The empty mask is no reduction: it gives the
+point mass.
 """
 
 import tracemalloc
@@ -82,6 +83,14 @@ SPECS = [6, 8, "mixed_3223"] + [
 ] + [((3,) * 6, 0.9)]  # runs of 243 and 81 entries, not a multiple of 8
 
 
+def on_support(em):
+    """``em``, reduced from its held non-zeros whatever the density."""
+    if em.cube is not None:
+        em._hold_nonzeros()
+        em.cube = None
+    return em
+
+
 def nonempty(d):
     return [S for S in SubsetMask.full(d).subsets() if S.bits]
 
@@ -90,11 +99,9 @@ def nonempty(d):
 def test_every_mask_has_the_bits_of_cube_sum(spec):
     P, pi = chain(spec)
     cube = cube_of(P, pi)
-    em = EdgeMeasure(P, pi)
-    if em.cube is not None:
-        em._hold_nonzeros()  # the support path, whatever the density
+    em = on_support(EdgeMeasure(P, pi))
     for S in nonempty(P.space.d):
-        assert np.array_equal(scattered(em._reduce_nonzeros(S), cube, S), cube_sum(cube, S)), S
+        assert np.array_equal(scattered(em._reduce(S), cube, S), cube_sum(cube, S)), S
 
 
 # every run length that numpy adds in order, 2 to 7 entries, and at (3,)*6
@@ -107,7 +114,7 @@ DENSE_SPECS = ["mixed_3223", ((3, 2, 2), 0.9)] + [
 
 @pytest.mark.parametrize("spec", DENSE_SPECS, ids=str)
 def test_every_mask_of_the_cube_has_the_bits_of_cube_sum(spec):
-    """The dense path's two passes against numpy's multi-axis sum."""
+    """The reduction from the cube against numpy's multi-axis sum."""
     P, pi = chain(spec)
     cube = cube_of(P, pi)
     em = EdgeMeasure(P, pi)
@@ -198,10 +205,10 @@ def test_runs_over_a_block_at_d10(cw10):
     """Runs of 512 and 256 entries, many to a block."""
     P, pi = cw10
     cube = cube_of(P, pi)
-    em = EdgeMeasure(P, pi)
+    em = on_support(EdgeMeasure(P, pi))
     for kept in [(0,), (1,), (0, 1), (1, 3)]:
         S = SubsetMask.of(10, kept)
-        assert np.array_equal(scattered(em._reduce_nonzeros(S), cube, S), cube_sum(cube, S)), S
+        assert np.array_equal(scattered(em._reduce(S), cube, S), cube_sum(cube, S)), S
 
 
 def test_storage_follows_the_density():
@@ -227,7 +234,7 @@ def test_floor_weights_are_reduced_but_not_in_the_support():
     assert len(em.support()[0]) == n
     cube = cube_of(P, pi)
     for S in nonempty(5):
-        assert np.array_equal(scattered(em._reduce_nonzeros(S), cube, S), cube_sum(cube, S))
+        assert np.array_equal(scattered(em._reduce(S), cube, S), cube_sum(cube, S))
 
 
 def test_sparse_chain_scans_P_once(monkeypatch):

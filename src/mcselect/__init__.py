@@ -42,9 +42,9 @@ from .objectives import (
 )
 from .optimizers import (
     Certificate,
+    OptimumTable,
     RunResult,
     batch_greedy,
-    brute_force_opt,
     certify,
     distorted_greedy,
     generalized_distorted_greedy,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,13 +55,6 @@ def union_of(parts: Parts) -> SubsetMask:
     for part in parts:
         bits |= part.bits
     return SubsetMask(bits, parts[0].d)
-
-
-def parts_below(caps: Parts) -> Iterator[Parts]:
-    """Every tuple of parts below the pairwise-disjoint ceiling ``caps``, in
-    the binary counting order of :meth:`SubsetMask.subsets` over their union."""
-    for S in union_of(caps).subsets():
-        yield tuple(cap & S for cap in caps)
 
 
 @dataclass(frozen=True)

@@ -234,10 +234,10 @@ class OptimumTable:
     """``fn`` at every candidate of a domain, the subsets of a ground set or
     the tuples of parts below a pairwise-disjoint ceiling, as float64
     indexed by the candidate's code in the binary counting order of
-    :meth:`SubsetMask.subsets` over their union.  It fills lazily: a row
-    evaluates, in counting order, only the candidates of the sizes it
-    admits that no earlier row did.  Guarded: the candidate count may not
-    exceed 2^24.
+    :meth:`SubsetMask.subsets` over their union: bit t of a code is the
+    t-th of ``positions``, and ``sizes`` holds each code's bit count.  It
+    fills lazily: :meth:`values` evaluates a candidate on its first
+    request.  Guarded: the candidate count may not exceed 2^24.
     """
 
     def __init__(self, fn: Callable, domain: SubsetMask | Partition | Sequence[SubsetMask]):
@@ -252,19 +252,27 @@ class OptimumTable:
             raise GuardError(f"brute force over 2^{ground.size} candidates exceeds the 2^24 cap")
         self._fn = fn
         self._d = ground.d
-        self._positions = ground.indices()
-        sizes = np.zeros(1, dtype=np.int8)
-        for _ in self._positions:
+        self.positions = ground.indices()
+        sizes = np.zeros(1, dtype=np.int8)  # int8: 16 MiB at the cap
+        for _ in self.positions:
             sizes = np.concatenate((sizes, sizes + 1))
-        self._sizes = sizes
+        self.sizes = sizes
         self._values = np.empty(len(sizes))
         self._filled = np.zeros(len(sizes), dtype=bool)
 
-    def _candidate(self, code: int):
+    def candidate(self, code: int):
         """The candidate with counting-order code ``code``."""
-        S = SubsetMask(sum(1 << p for t, p in enumerate(self._positions) if code >> t & 1),
+        S = SubsetMask(sum(1 << p for t, p in enumerate(self.positions) if code >> t & 1),
                        self._d)
         return S if self._caps is None else tuple(cap & S for cap in self._caps)
+
+    def values(self, codes: np.ndarray) -> np.ndarray:
+        """fn at these ascending codes, evaluating the unfilled ones in order."""
+        fresh = codes[~self._filled[codes]]
+        self._values[fresh] = np.fromiter(
+            (self._fn(self.candidate(code)) for code in fresh.tolist()), float, len(fresh))
+        self._filled[fresh] = True
+        return self._values[codes]
 
     def opt(self, m: int, constraint: str = "le"):
         """The first maximizer in counting order over the candidates with
@@ -273,35 +281,18 @@ class OptimumTable:
         candidate; -inf never wins."""
         if constraint not in ("le", "eq"):
             raise ValidationError(f"unknown constraint {constraint!r}")
-        feasible = self._sizes <= m if constraint == "le" else self._sizes == m
-        fresh = np.flatnonzero(feasible & ~self._filled)
-        self._values[fresh] = np.fromiter(
-            (self._fn(self._candidate(code)) for code in fresh.tolist()), float, len(fresh))
-        self._filled[fresh] = True
-        codes = np.flatnonzero(feasible)
+        codes = np.flatnonzero(self.sizes <= m if constraint == "le" else self.sizes == m)
         if not len(codes):
             raise ValidationError("constraint admits no feasible candidate")
-        values = self._values[codes]
+        values = self.values(codes)
         nan = np.flatnonzero(np.isnan(values))
         if nan.size:
             raise ValidationError(
-                f"the objective at {self._candidate(int(codes[nan[0]]))!r} is nan")
+                f"the objective at {self.candidate(int(codes[nan[0]]))!r} is nan")
         best = int(np.argmax(values))  # the first maximum
         if values[best] == -math.inf:
             raise ValidationError("every feasible candidate has the value -inf")
-        return self._candidate(int(codes[best])), float(values[best])
-
-
-def brute_force_opt(
-    fn: Callable,
-    domain: SubsetMask | Partition | Sequence[SubsetMask],
-    m: int,
-    constraint: str = "le",
-):
-    """Exhaustive maximization over subsets of a ground set, or over
-    partitions below a ceiling, under |S| <= m or = m: one row of a fresh
-    :class:`OptimumTable`, with its first-found tie-break and guard."""
-    return OptimumTable(fn, domain).opt(m, constraint)
+        return self.candidate(int(codes[best])), float(values[best])
 
 
 def optimum_table(dec: ObjectiveDecomposition) -> OptimumTable:
@@ -335,7 +326,7 @@ def batch_certificate(
     result: RunResult,
 ) -> Certificate:
     """Bound for batch greedy: f(S) >= (1 - prod_i (1 - q_i eta_{q_i} gamma / m)) OPT."""
-    opt, opt_value = brute_force_opt(f, ground, m, "eq")
+    opt, opt_value = OptimumTable(f, ground).opt(m, "eq")
     product = 1.0
     for q in batch_sizes:
         product *= 1.0 - q * eta_by_batch[q] * gamma / m

@@ -1,12 +1,13 @@
-"""Independent brute-force verifiers: exhaustive submodularity, monotonicity
-and k-submodularity checks, and the supermodularity/submodularity ratios that
+"""Brute-force verifiers: exhaustive submodularity, monotonicity and
+k-submodularity checks, and the supermodularity/submodularity ratios that
 enter the batch-greedy bound.
 
 All guards are hard errors rather than silent truncation: a sampled check is
-not an oracle.  A check evaluates its function once per candidate into a
-float64 table (a non-finite value is an error naming its candidate) and runs
-each clause through :func:`_scan` as numpy arrays, each slack in the operation
-order of its inequality as written, so margins have the bits of a plain scan.
+not an oracle.  A check evaluates its function once per candidate, through an
+:class:`OptimumTable` but for the (k+1)^|U| labellings (a non-finite value is
+an error naming its candidate), and runs each clause through :func:`_scan` as
+numpy arrays, each slack in the operation order of its inequality as written,
+so margins have the bits of the naive scans in ``tests/helpers_naive.py``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .chain_core import GuardError, SubsetMask, ValidationError
-from .objectives import Parts, parts_below, union_of
+from .objectives import Parts
+from .optimizers import OptimumTable
 
 SUBMODULARITY_TOL = 1e-9
 RATIO_FLOOR = 1e-12
@@ -55,13 +57,21 @@ class RatioReport:
     gamma_witness: tuple[SubsetMask, SubsetMask] | None
 
 
-def _table(f: Callable, items: Sequence, what: str) -> np.ndarray:
-    """f at every candidate, in order, as float64."""
-    values = np.fromiter(map(f, items), float, len(items))
+def _finite(values: np.ndarray, candidate: Callable[[int], object], what: str) -> np.ndarray:
+    """The values at candidates 0, 1, ..., each checked to be finite."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise ValidationError(f"{what}: the value at {items[bad[0]]!r} is {values[bad[0]]}")
+        raise ValidationError(
+            f"{what}: the value at {candidate(int(bad[0]))!r} is {values[bad[0]]}")
     return values
+
+
+def _refuse(tol: float, ground: SubsetMask, cap: int, what: str) -> None:
+    """Before any evaluation: a NaN or negative tolerance, or over 2^cap subsets."""
+    if not tol >= 0:
+        raise ValidationError(f"tol must be a non-negative number, not {tol!r}")
+    if ground.size > cap:
+        raise GuardError(f"{what} over 2^{ground.size} subsets exceeds the guard")
 
 
 def _scan(counts: np.ndarray, entries: Callable, witness: Callable, tol: float) -> CheckResult:
@@ -93,25 +103,19 @@ def _pick(flags: list[np.ndarray], r: np.ndarray) -> np.ndarray:
     return picked
 
 
-def _subset_table(f, ground: SubsetMask, cap: int, what: str):
-    """The subsets in counting order (indexed by bit code over the members) and f."""
-    if ground.size > cap:
-        raise GuardError(f"{what} over 2^{ground.size} subsets exceeds the guard")
-    subsets = list(ground.subsets())
-    return subsets, _table(f, subsets, what)
-
-
 def check_submodular(
     f: Callable[[SubsetMask], float],
     ground: SubsetMask,
     tol: float = SUBMODULARITY_TOL,
 ) -> CheckResult:
     """Exhaustively test f(S) + f(T) >= f(S u T) + f(S n T) - tol."""
-    subsets, v = _subset_table(f, ground, MAX_SUBSET_UNIVERSE, "submodularity check")
+    _refuse(tol, ground, MAX_SUBSET_UNIVERSE, what := "submodularity check")
+    table = OptimumTable(f, ground)
+    v = _finite(table.values(np.arange(len(table.sizes))), table.candidate, what)
     # the pairs S <= T in counting order: T = S + r
-    return _scan(np.arange(len(subsets), 0, -1),
+    return _scan(np.arange(len(v), 0, -1),
                  lambda s, r: (v[s] + v[s + r] - v[s | s + r] - v[s & s + r], (s, s + r)),
-                 lambda s, t: (subsets[s], subsets[t]), tol)
+                 lambda s, t: (table.candidate(s), table.candidate(t)), tol)
 
 
 def check_monotone(
@@ -121,15 +125,17 @@ def check_monotone(
     tol: float = SUBMODULARITY_TOL,
 ) -> CheckResult:
     """Test every single-element addition marginal for the stated direction."""
-    subsets, v = _subset_table(f, ground, MAX_SUBSET_UNIVERSE, "monotonicity check")
+    _refuse(tol, ground, MAX_SUBSET_UNIVERSE, what := "monotonicity check")
+    table = OptimumTable(f, ground)
+    v = _finite(table.values(np.arange(len(table.sizes))), table.candidate, what)
     sign = 1.0 if nondecreasing else -1.0
 
     def entries(s, r):
         q = _pick([s >> p & 1 == 0 for p in range(ground.size)], r)
         return sign * (v[s | 1 << q] - v[s]), (s, q)
 
-    return _scan(np.array([ground.size - S.size for S in subsets]), entries,
-                 lambda s, q: (subsets[s], ground.indices()[q]), tol)
+    return _scan(ground.size - table.sizes.astype(np.int64), entries,
+                 lambda s, q: (table.candidate(s), table.positions[q]), tol)
 
 
 def check_k_submodular(
@@ -143,9 +149,13 @@ def check_k_submodular(
     orthant-submodularity and pairwise-monotonicity conditions reported
     separately (they jointly characterize k-submodularity).
 
-    With a pairwise-disjoint ``ceiling`` the test runs on the sublattice of
-    partitions below it (lattice and orthant conditions; the pairwise clause
-    compares slots of one element and is vacuous there)."""
+    With a pairwise-disjoint ``ceiling`` of k groups the test runs on the
+    sublattice of partitions below it (lattice and orthant conditions; the
+    pairwise clause compares slots of one element and is vacuous there)."""
+    if not tol >= 0:
+        raise ValidationError(f"tol must be a non-negative number, not {tol!r}")
+    if not (k >= 1 and (ceiling is None or k == len(ceiling))):
+        raise ValidationError(f"k={k!r} must be >= 1 and, with a ceiling, its number of groups")
     radix, label = (2, "2") if ceiling is not None else (k + 1, "(k+1)")
     if radix ** ground.size > MAX_K_TUPLES:
         raise GuardError(
@@ -156,18 +166,21 @@ def check_k_submodular(
     if ceiling is not None:
         # below a pairwise-disjoint ceiling each element has one admissible
         # slot: the candidates are the subsets of its support, counting order
-        caps = tuple(cap & ground for cap in ceiling)
-        items, elems = list(parts_below(caps)), union_of(caps).indices()
-        options = [(q, j, 1) for q, e in enumerate(elems) for j, cap in enumerate(caps) if e in cap]
+        below = OptimumTable(F, tuple(cap & ground for cap in ceiling))
+        elems, item = below.positions, below.candidate
+        v = _finite(below.values(np.arange(len(below.sizes))), item, "k-submodularity check")
+        options = [(q, j, 1) for q, e in enumerate(elems) for j, c in enumerate(ceiling) if e in c]
     else:  # every labelling of the elements, in itertools.product order
         elems = ground.indices()
         items = [tuple(SubsetMask.of(ground.d, (e for e, lab in zip(elems, labels) if lab == j))
                        for j in range(1, k + 1))
                  for labels in itertools.product(range(k + 1), repeat=len(elems))]
+        item = items.__getitem__
+        v = _finite(np.fromiter(map(F, items), float, len(items)), item, "k-submodularity check")
         options = [(q, j, j + 1) for q in range(len(elems)) for j in range(k)]
     weights = (radix ** np.arange(len(elems), dtype=np.int64))[::1 if ceiling is not None else -1]
-    v, codes = _table(F, items, "k-submodularity check"), np.arange(len(items))
-    table = np.empty((len(elems), len(items)), np.min_scalar_type(radix))
+    codes = np.arange(len(v))
+    table = np.empty((len(elems), len(v)), np.min_scalar_type(radix))
     for q, w in enumerate(weights):
         table[q] = codes // w % radix
     digits = lambda t: table[:, t]  # row q: digit q of each index in t
@@ -203,11 +216,11 @@ def check_k_submodular(
 
     free = (table == 0)[at_q]
     clauses = (
-        (len(codes) - codes, lattice, lambda s, t: (items[s], items[t])),
+        (len(codes) - codes, lattice, lambda s, t: (item(s), item(t))),
         (np.left_shift(1, (table != 0).sum(0)) * free.sum(0), orthant,
-         lambda s, t, i, q: (items[s], items[t], i, elems[q])),
+         lambda s, t, i, q: (item(s), item(t), i, elems[q])),
         (free[pairs[:, 0]].sum(0), pairwise,
-         lambda s, q, i, j: (items[s], elems[q], i, j)),
+         lambda s, q, i, j: (item(s), elems[q], i, j)),
     )
     return KSubmodularityReport(*(_scan(n, scan, seen, tol) for n, scan, seen in clauses))
 
@@ -219,7 +232,9 @@ def ratios(
 ) -> RatioReport:
     """Exact supermodularity ratio eta_{U,m} and submodularity ratio
     gamma_{U,m} by exhaustive enumeration; 0/0 pairs are skipped."""
-    subsets, v = _subset_table(f, ground, MAX_RATIO_UNIVERSE, "ratio computation")
+    _refuse(math.inf, ground, MAX_RATIO_UNIVERSE, what := "ratio computation")
+    table = OptimumTable(f, ground)
+    v = _finite(table.values(np.arange(len(table.sizes))), table.candidate, what)
     if m < 1:
         raise ValidationError("ratios need a cardinality constraint m >= 1")
 
@@ -237,7 +252,7 @@ def ratios(
         ok = (1 <= size) & (size <= m) & ~flat & (terms[1 - num] != 0.0)
         return np.where(ok, terms[num] / np.where(ok, terms[1 - num], 1.0), math.inf), (s, t)
 
-    counts = np.array([1 << (ground.size - S.size) for S in subsets])
-    eta, gamma = (_scan(counts, lambda s, r: entries(s, r, num),
-                        lambda s, t: (subsets[s], subsets[t]), math.inf) for num in (0, 1))
+    counts = np.left_shift(1, ground.size - table.sizes.astype(np.int64))
+    pair = lambda s, t: (table.candidate(s), table.candidate(t))
+    eta, gamma = (_scan(counts, lambda s, r: entries(s, r, num), pair, math.inf) for num in (0, 1))
     return RatioReport(eta.margin, gamma.margin, eta.witness, gamma.witness)

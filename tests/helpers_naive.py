@@ -19,7 +19,7 @@ from mcselect.chain_core import (
     ValidationError,
     stationary_distribution,
 )
-from mcselect.objectives import parts_below, union_of
+from mcselect.objectives import union_of
 from mcselect.oracle import (
     MAX_K_TUPLES,
     MAX_RATIO_UNIVERSE,
@@ -138,6 +138,13 @@ def brute_force_best(f, universe, m, constraint="le"):
             if val > best_val:
                 best, best_val = frozenset(combo), val
     return best, best_val
+
+
+def parts_below(caps):
+    """Every tuple of parts below the pairwise-disjoint ceiling ``caps``, in
+    the binary counting order of ``SubsetMask.subsets`` over their union."""
+    for S in union_of(caps).subsets():
+        yield tuple(cap & S for cap in caps)
 
 
 def naive_brute_force_opt(fn, domain, m, constraint="le"):

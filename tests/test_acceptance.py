@@ -43,9 +43,9 @@ from mcselect.objectives import (
     build_subset_objective,
 )
 from mcselect.optimizers import (
+    OptimumTable,
     batch_certificate,
     batch_greedy,
-    brute_force_opt,
     certify,
     distorted_greedy,
     generalized_distorted_greedy,
@@ -406,7 +406,7 @@ class TestCriterion3Properties:
             dec = build_subset_objective("dist2fact", P, pi)
             d = P.space.d
             result = local_search(dec.f, dec.ground, eps)
-            _, opt = brute_force_opt(dec.f, dec.ground, d, "le")
+            _, opt = OptimumTable(dec.f, dec.ground).opt(d, "le")
             if result.objective_value < (0.5 - eps / d) * opt - TOL_PROP:
                 failures += 1
         report("3 local search >= (1/2 - eps/d) OPT on symmetric instances",

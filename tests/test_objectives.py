@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers_naive import random_product_chain, random_reversible_chain
+from helpers_naive import parts_below, random_product_chain, random_reversible_chain
 from mcselect.chain_core import SubsetMask, ValidationError
 from mcselect.objectives import (
     Partition,
@@ -11,7 +11,6 @@ from mcselect.objectives import (
     build_partition_objective,
     build_subset_objective,
     is_product_form,
-    parts_below,
     union_of,
 )
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from helpers_naive import (
     brute_force_best,
     naive_brute_force_opt,
+    parts_below,
     random_product_chain,
     random_reversible_chain,
 )
@@ -27,7 +29,6 @@ from mcselect.optimizers import (
     RunResult,
     batch_certificate,
     batch_greedy,
-    brute_force_opt,
     certify,
     distorted_greedy,
     generalized_distorted_greedy,
@@ -62,7 +63,7 @@ class TestGreedy:
             dec = build_subset_objective("entropy", P, pi)
             for m in (1, 2, 3):
                 got = greedy(dec.f, dec.ground, m, "le").objective_value
-                _, opt = brute_force_opt(dec.f, dec.ground, m, "le")
+                _, opt = OptimumTable(dec.f, dec.ground).opt(m, "le")
                 assert got <= opt + 1e-12
 
     def test_budget_trajectory_never_decreases(self, rng):
@@ -252,7 +253,7 @@ class TestLocalSearch:
         dec = build_subset_objective("dist2fact", P, pi)
         eps = 0.1
         result = local_search(dec.f, dec.ground, eps)
-        _, opt = brute_force_opt(dec.f, dec.ground, 6, "le")
+        _, opt = OptimumTable(dec.f, dec.ground).opt(6, "le")
         assert result.objective_value >= (0.5 - eps / 6) * opt - 1e-12
 
     def test_symmetric_guarantee_random_chains(self, rng):
@@ -261,7 +262,7 @@ class TestLocalSearch:
             dec = build_subset_objective("dist2fact", P, pi)
             eps = 0.1
             result = local_search(dec.f, dec.ground, eps)
-            _, opt = brute_force_opt(dec.f, dec.ground, 4, "le")
+            _, opt = OptimumTable(dec.f, dec.ground).opt(4, "le")
             assert result.objective_value >= (0.5 - eps / 4) * opt - 1e-12
 
     def test_requires_positive_epsilon(self):
@@ -335,7 +336,7 @@ class TestBruteForce:
     def test_two_coordinate_enumeration(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2))
         dec = build_subset_objective("entropy", P, pi)
-        best, value = brute_force_opt(dec.f, dec.ground, 2, "le")
+        best, value = OptimumTable(dec.f, dec.ground).opt(2, "le")
         values = {bits: dec.f(SubsetMask(bits, 2)) for bits in range(4)}
         assert value == max(values.values())
         assert values[best.bits] == value
@@ -344,7 +345,7 @@ class TestBruteForce:
         ground = SubsetMask.full(4)
         weights = [0.4, 0.1, 0.3, 0.2]
         f = lambda S: sum(weights[e] for e in S)
-        got, value = brute_force_opt(f, ground, 2, "le")
+        got, value = OptimumTable(f, ground).opt(2, "le")
         assert got.indices() == (0, 2)
         assert abs(value - 0.7) <= 1e-15
 
@@ -352,7 +353,7 @@ class TestBruteForce:
         P, pi = random_reversible_chain(rng, (2, 2, 2))
         dec = build_subset_objective("entropy", P, pi)
         for m, constraint in ((2, "le"), (2, "eq")):
-            got_set, got_val = brute_force_opt(dec.f, dec.ground, m, constraint)
+            got_set, got_val = OptimumTable(dec.f, dec.ground).opt(m, constraint)
             want_set, want_val = brute_force_best(
                 lambda fs: dec.f(SubsetMask.of(3, fs)), range(3), m, constraint
             )
@@ -362,7 +363,7 @@ class TestBruteForce:
         P, pi = random_reversible_chain(rng, (2, 2, 2, 2))
         caps = (SubsetMask.of(4, (0, 1)), SubsetMask.of(4, (2, 3)))
         dec = build_partition_objective("k-entropy", P, pi, caps)
-        parts, value = brute_force_opt(dec.gc, caps, 2, "le")
+        parts, value = OptimumTable(dec.gc, caps).opt(2, "le")
         # independent enumeration over all feasible partitions
         best = -math.inf
         for bits in range(16):
@@ -375,7 +376,7 @@ class TestBruteForce:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            brute_force_opt(lambda S: 0.0, SubsetMask.full(25), 2, "le")
+            OptimumTable(lambda S: 0.0, SubsetMask.full(25)).opt(2, "le")
 
 
 def table_decomposition(caps, g_values, weights, c_const, constraint, subset):
@@ -460,6 +461,34 @@ class TestOptimumTable:
         table.opt(3, "eq")
         assert len(calls) == 56 and {S.size for S in calls} == {3}
 
+    @pytest.mark.parametrize("ground, ceiling", [
+        ((0, 1, 2, 3, 4), ((0, 1), (2, 3, 4))),  # contiguous
+        ((0, 1, 2, 4, 5), ((0, 4, 5), (2, 1), ())),  # non-contiguous, an empty cap
+        ((1, 2, 4), ((0, 1, 2), (3, 4, 5))),  # caps reaching past the ground set
+        ((3,), ((), ())),  # nothing below the ceiling
+    ], ids=("contiguous", "non-contiguous", "past the ground", "empty"))
+    def test_codes_decode_in_counting_order(self, ground, ceiling):
+        ground = SubsetMask.of(6, ground)
+        caps = tuple(SubsetMask.of(6, cap) & ground for cap in ceiling)
+        for domain, want in ((ground, ground.subsets()), (caps, parts_below(caps))):
+            table = OptimumTable(lambda candidate: 0.0, domain)
+            assert [table.candidate(code) for code in range(len(table.sizes))] == list(want)
+            assert table.sizes.dtype == np.int8
+
+    def test_values_evaluate_only_what_opt_left_unfilled(self):
+        calls = []
+        table = OptimumTable(lambda S: calls.append(S) or float(S.size), SubsetMask.full(5))
+        table.opt(2, "le")
+        first, every = list(calls), np.arange(len(table.sizes))
+        calls.clear()
+        values = table.values(every)
+        assert calls == [table.candidate(code) for code in every if table.sizes[code] > 2]
+        assert not set(calls) & set(first)
+        assert values.tolist() == table.sizes.tolist()
+        calls.clear()
+        table.values(every)
+        assert calls == []
+
     @pytest.mark.parametrize("problem, algorithm, ms", [
         ("entropy", "distorted", range(1, 3)),
         ("dist2indp", "greedy", range(2, 4)),  # "eq" rows: sizes 2 and 3 only
@@ -483,22 +512,22 @@ class TestOptimumTable:
     def test_nan_is_an_error_naming_the_first_nan_candidate(self):
         nan_at_pairs = lambda S: math.nan if S.size == 2 else float(S.size)
         with pytest.raises(ValidationError, match=r"SubsetMask\(\{0, 1\}, d=3\) is nan"):
-            brute_force_opt(nan_at_pairs, SubsetMask.full(3), 3)
+            OptimumTable(nan_at_pairs, SubsetMask.full(3)).opt(3)
         with pytest.raises(ValidationError, match=r"SubsetMask\(\{\}, d=3\) is nan"):
-            brute_force_opt(lambda S: math.nan, SubsetMask.full(3), 3)
+            OptimumTable(lambda S: math.nan, SubsetMask.full(3)).opt(3)
         # a NaN the row does not admit is never read
-        assert brute_force_opt(nan_at_pairs, SubsetMask.full(3), 1)[0].size == 1
+        assert OptimumTable(nan_at_pairs, SubsetMask.full(3)).opt(1)[0].size == 1
 
     def test_infinities_keep_the_first_found_order(self):
         inf_at_pairs = lambda S: math.inf if S.size == 2 else float(S.size)
-        assert brute_force_opt(inf_at_pairs, SubsetMask.full(3), 3) == (
+        assert OptimumTable(inf_at_pairs, SubsetMask.full(3)).opt(3) == (
             SubsetMask.of(3, (0, 1)), math.inf)
         # -inf never wins; a row of -inf alone has no optimum
         minus_inf_but_last = lambda S: 0.0 if S.bits == 0b110 else -math.inf
-        assert brute_force_opt(minus_inf_but_last, SubsetMask.full(3), 2)[0].bits == 0b110
+        assert OptimumTable(minus_inf_but_last, SubsetMask.full(3)).opt(2)[0].bits == 0b110
         with pytest.raises(ValidationError, match="-inf"):
-            brute_force_opt(lambda S: -math.inf, SubsetMask.full(3), 2)
+            OptimumTable(lambda S: -math.inf, SubsetMask.full(3)).opt(2)
 
     def test_unknown_constraint(self):
         with pytest.raises(ValidationError, match="unknown constraint"):
-            brute_force_opt(lambda S: 0.0, SubsetMask.full(2), 1, "ge")
+            OptimumTable(lambda S: 0.0, SubsetMask.full(2)).opt(1, "ge")

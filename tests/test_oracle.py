@@ -150,6 +150,63 @@ class TestNonFiniteValues:
             check(lambda S: bad if S == BAD else float(S.size))
 
 
+def _spy(f):
+    """f, and the list of the candidates it has been called on."""
+    calls = []
+    return (lambda x: calls.append(x) or f(x)), calls
+
+
+class TestRefusedBeforeEvaluation:
+    """Bad arguments are a ValidationError naming them, raised before f is
+    called once."""
+
+    @pytest.mark.parametrize("tol", (math.nan, -1e-9, -math.inf))
+    @pytest.mark.parametrize("check", (
+        lambda f, tol: check_submodular(f, SubsetMask.full(3), tol=tol),
+        lambda f, tol: check_monotone(f, SubsetMask.full(3), tol=tol),
+        lambda f, tol: check_monotone(f, SubsetMask.full(3), nondecreasing=False, tol=tol),
+        lambda f, tol: check_k_submodular(lambda parts: f(parts[0]), SubsetMask.full(3), 2,
+                                          tol=tol),
+        lambda f, tol: check_k_submodular(lambda parts: f(parts[0]), SubsetMask.full(3), 2,
+                                          tol=tol, ceiling=CAPS),
+    ), ids=("submodular", "monotone", "nonincreasing", "k-submodular", "below a ceiling"))
+    def test_a_tolerance_that_is_nan_or_negative(self, check, tol):
+        f, calls = _spy(lambda S: float(S.size) ** 2)
+        with pytest.raises(ValidationError, match="tol"):
+            check(f, tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("k, ceiling", [(0, None), (-1, None), (5, CAPS), (1, CAPS),
+                                            (0, CAPS[:0])])
+    def test_k_below_one_or_unlike_the_ceiling(self, k, ceiling):
+        F, calls = _spy(lambda parts: 0.0)
+        with pytest.raises(ValidationError, match=f"k={k}"):
+            check_k_submodular(F, SubsetMask.full(3), k, ceiling=ceiling)
+        assert calls == []
+
+    def test_an_overlapping_ceiling(self):
+        F, calls = _spy(lambda parts: float(sum(p.size for p in parts)))
+        overlap = (SubsetMask.of(3, (0, 1)), SubsetMask.of(3, (1, 2)))
+        with pytest.raises(ValidationError, match="overlap"):
+            check_k_submodular(F, SubsetMask.full(3), 2, ceiling=overlap)
+        assert calls == []
+
+
+@pytest.mark.parametrize("check, candidates", [
+    (lambda f: check_submodular(f, SubsetMask.full(5)), 32),
+    (lambda f: check_monotone(f, SubsetMask.of(6, (0, 2, 3, 5))), 16),
+    (lambda f: ratios(f, SubsetMask.full(4), 2), 16),
+    (lambda F: check_k_submodular(F, SubsetMask.full(3), 2), 27),
+    (lambda F: check_k_submodular(F, SubsetMask.of(5, (0, 1, 2, 4)), 3,
+                                  ceiling=(SubsetMask.of(5, (4, 0)), SubsetMask.of(5, (1, 3)),
+                                           SubsetMask.empty(5))), 8),
+], ids=("submodular", "monotone", "ratios", "k-submodular", "below a ceiling"))
+def test_each_check_evaluates_each_candidate_once(check, candidates):
+    f, calls = _spy(lambda candidate: 0.0)
+    check(f)
+    assert len(calls) == len(set(calls)) == candidates
+
+
 def test_guard_size_checks_stay_within_96_mib():
     """check_submodular over 2^12 subsets (8.4M pairs) and check_k_submodular
     below a 3 x 4 ceiling on 12 elements hold one chunk of entries at a time.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -433,8 +433,56 @@ def _left_product(v: np.ndarray, P: TransitionMatrix) -> np.ndarray:
     return np.bincount(y, v[x] * p, minlength=len(v))
 
 
+def _column_product(P: TransitionMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> v P with the bits of :func:`_left_product`, for the many
+    products of one solve.  A sparse P's non-zeros are laid out by column:
+    row j of a (K, n) array holds each column's j-th source in ascending
+    row order and its weight, zero-padded up to K, the largest in-degree.
+    A product gathers v at the sources, multiplies by the weights and adds
+    the K rows in order, which adds each column's terms in the order of
+    ``np.bincount``'s row-major input, from the same start (the first
+    term is 0.0 + t, which is t), and then +0.0 for the padding; every
+    term is >= 0, so the bits are the same.  A dense P, or one whose
+    padding would more than double its entries, keeps :func:`_left_product`.
+    The layout is the returned function's alone: nothing is kept on P."""
+    sparse = _sparse_nonzeros(P)
+    if sparse is None:
+        return lambda v: _left_product(v, P)
+    x, y, p = sparse
+    n = P.space.total
+    indegree = np.bincount(y, minlength=n)
+    k = int(indegree.max())
+    if k * n > 2 * len(p):
+        return lambda v: _left_product(v, P)
+    # the non-zeros by column, each column's in row order, and where each
+    # column's run starts among them
+    order = np.argsort(y, kind="stable")
+    start = np.cumsum(indegree) - indegree
+    sources = np.zeros((k, n), dtype=np.intp)
+    weights = np.zeros((k, n))
+    for j in range(k):
+        columns = np.flatnonzero(indegree > j)
+        entry = order[start[columns] + j]
+        sources[j, columns] = x[entry]
+        weights[j, columns] = p[entry]
+    terms = np.empty((k, n))
+
+    def product(v: np.ndarray) -> np.ndarray:
+        np.take(v, sources, out=terms, mode="clip")
+        np.multiply(terms, weights, out=terms)
+        out = terms[0].copy()
+        for row in terms[1:]:
+            out += row
+        return out
+
+    return product
+
+
 def stationary_residual(P: TransitionMatrix, pi: Distribution) -> float:
     """||pi P - pi||_1, the distance of pi from stationarity under P."""
+    if pi.space.dims != P.space.dims:
+        raise ValidationError(
+            f"pi lives on dims {pi.space.dims}, P on dims {P.space.dims}")
     return float(np.abs(_left_product(pi.probs, P) - pi.probs).sum())
 
 
@@ -447,17 +495,28 @@ def stationary_distribution(
 
     The lazy chain shares the stationary distribution and is aperiodic, so
     power iteration converges for any irreducible P.  The residual is
-    measured on the original chain: ||pi P - pi||_1 <= tol.  A sparse P
-    is multiplied over its non-zeros alone (:func:`_left_product`).
+    measured on the original chain: ||pi P - pi||_1 <= tol, with
+    0 < tol < inf, within an integer ``max_iters`` >= 1 steps.  A dense P
+    is multiplied as ``v @ P.rows``.  A sparse P's non-zeros are laid out
+    by column once per call, and each step reads them so, with the bits of
+    ``np.bincount(y, v[x] * P(x, y))`` (:func:`_column_product`).  On
+    Curie-Weiss d=12 (509 steps) that solve takes about 0.055 s, against
+    0.10-0.11 s with a ``np.bincount`` every step (one thread of a shared
+    2-core host, median of 5).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"power iteration needs 0 < tol < inf, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
+        raise ValidationError(f"power iteration needs an integer max_iters, got {max_iters!r}")
     if max_iters < 1:
         raise ValidationError(f"power iteration needs max_iters >= 1, got {max_iters}")
     validate(P)
     n = P.space.total
     _require_irreducible(P)
+    product = _column_product(P)
     v = np.full(n, 1.0 / n)
     for _ in range(max_iters):
-        w = _left_product(v, P)
+        w = product(v)
         residual = float(np.abs(w - v).sum())
         if residual <= tol:
             v = w / w.sum()

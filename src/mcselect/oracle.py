@@ -233,10 +233,10 @@ def ratios(
     """Exact supermodularity ratio eta_{U,m} and submodularity ratio
     gamma_{U,m} by exhaustive enumeration; 0/0 pairs are skipped."""
     _refuse(math.inf, ground, MAX_RATIO_UNIVERSE, what := "ratio computation")
-    table = OptimumTable(f, ground)
-    v = _finite(table.values(np.arange(len(table.sizes))), table.candidate, what)
     if m < 1:
         raise ValidationError("ratios need a cardinality constraint m >= 1")
+    table = OptimumTable(f, ground)
+    v = _finite(table.values(np.arange(len(table.sizes))), table.candidate, what)
 
     def entries(s, r, num):
         """T, the r-th subset of the rest in counting order; f(S u T) - f(S)

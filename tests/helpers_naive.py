@@ -174,10 +174,32 @@ def naive_power_iteration(rows, tol=1e-12, max_iters=200_000):
     """The lazy power iteration with a dense ``v @ rows`` at every step:
     (pi, the steps taken, the last residual), pi None if ``max_iters``
     steps fall short of ``tol``."""
-    n = len(rows)
+    return _lazy_power_iteration(lambda v: v @ rows, len(rows), tol, max_iters)
+
+
+def row_major_nonzeros(P):
+    """P's non-zeros (x, y, P(x, y)) in row-major order: those a matrix
+    built from its non-zeros holds, else those of its rows."""
+    if P._nonzeros:
+        return P._nonzeros
+    x, y = np.nonzero(P.rows)
+    return x, y, P.rows[x, y]
+
+
+def naive_bincount_power_iteration(P, tol=1e-12, max_iters=200_000):
+    """:func:`naive_power_iteration` with the sparse step
+    ``np.bincount(y, v[x] * p)`` over P's row-major non-zeros at every
+    step: the bits that the solve's column layout of a sparse P keeps."""
+    x, y, p = row_major_nonzeros(P)
+    n = P.space.total
+    return _lazy_power_iteration(lambda v: np.bincount(y, v[x] * p, minlength=n), n, tol,
+                                 max_iters)
+
+
+def _lazy_power_iteration(product, n, tol, max_iters):
     v = np.full(n, 1.0 / n)
     for step in range(1, max_iters + 1):
-        w = v @ rows
+        w = product(v)
         residual = float(np.abs(w - v).sum())
         if residual <= tol:
             return w / w.sum(), step, residual

@@ -1,5 +1,7 @@
 import math
+import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from helpers_naive import (
     all_states,
     edge_projection,
+    naive_bincount_power_iteration,
     naive_index,
     naive_keep_in,
     naive_marginal,
@@ -18,8 +21,9 @@ from helpers_naive import (
     random_chain,
     random_reversible_chain,
     relabel_within,
+    row_major_nonzeros,
 )
-from mcselect import chain_core
+from mcselect import chain_core, functionals
 from mcselect.chain_core import (
     ConvergenceError,
     Distribution,
@@ -31,6 +35,7 @@ from mcselect.chain_core import (
     marginalize,
     matrix_power,
     stationary_distribution,
+    stationary_residual,
     tensor,
     tensor_dist,
     validate,
@@ -187,6 +192,54 @@ class TestStationary:
         with pytest.raises(ConvergenceError, match="after 1 iterations"):
             stationary_distribution(tm((2,), rows), max_iters=1)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_a_tolerance_outside_zero_to_inf_rejected(self, tol):
+        """NaN or a tolerance <= 0 would never be met and inf always; the
+        tolerance is refused before P is validated, here a matrix whose
+        row does not sum to 1."""
+        rows = np.array([[0.9, 0.1], [0.2, 0.9]])
+        with pytest.raises(ValidationError, match=r"needs 0 < tol < inf, got " + re.escape(repr(tol))):
+            stationary_distribution(tm((2,), rows), tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, "7", True])
+    def test_max_iters_that_is_not_an_integer_rejected(self, max_iters):
+        rows = np.array([[0.9, 0.1], [0.2, 0.9]])
+        with pytest.raises(ValidationError, match=r"needs an integer max_iters, got "):
+            stationary_distribution(tm((2,), rows), max_iters=max_iters)
+
+    def test_numpy_integer_max_iters(self):
+        rows = np.array([[0.9, 0.1], [0.2, 0.8]])
+        want = stationary_distribution(tm((2,), rows), max_iters=1000)
+        got = stationary_distribution(tm((2,), rows), max_iters=np.int64(1000))
+        assert np.array_equal(got.probs, want.probs)
+
+
+class TestStationaryResidualSpace:
+    """pi must live on P's space: neither another number of states nor
+    other dims with the same total are read against P."""
+
+    @pytest.fixture
+    def cw6(self):
+        return curie_weiss_chain(CurieWeissParams(6, 10.0, 1.0))
+
+    @pytest.mark.parametrize("dims", [(2,) * 5, (4, 4, 4), (8, 8)])
+    @pytest.mark.parametrize("call", [
+        stationary_residual,
+        functionals.assert_stationary,
+        entropy_rate,
+    ], ids=("stationary_residual", "assert_stationary", "entropy_rate"))
+    def test_pi_on_other_dims_rejected(self, cw6, call, dims):
+        P, _ = cw6
+        n = math.prod(dims)
+        with pytest.raises(ValidationError) as err:
+            call(P, dist(dims, np.full(n, 1.0 / n)))
+        assert str(err.value) == f"pi lives on dims {dims}, P on dims {(2,) * 6}"
+
+    def test_pi_on_the_same_dims(self, cw6):
+        P, gibbs = cw6
+        pi = dist((2,) * 6, gibbs.probs)
+        assert stationary_residual(P, pi) == stationary_residual(P, gibbs) <= 1e-12
+
 
 def is_sparse(P):
     return chain_core._sparse_nonzeros(P) is not None
@@ -300,6 +353,136 @@ class TestSparseSolve:
         assert str(err.value) == (
             "power iteration did not reach ||pi P - pi||_1 <= 1e-12 after 1 iterations "
             f"(residual {residual:.3e})")
+
+
+@st.composite
+def in_degree_chains(draw, hub):
+    """A random irreducible chain on 6 coordinates of sizes 2 and 3 whose
+    in-degrees are uneven: each column y draws one from lo..2 lo and takes
+    its sources from y - 1, which closes a cycle, and other random states,
+    so the largest in-degree is at most twice the mean.  With ``hub``,
+    every state also moves to one hub column, whose in-degree is then n."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=6, max_size=6)))
+    lo = draw(st.integers(1, 3))
+    hi = draw(st.integers(lo, 2 * lo))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = math.prod(dims)
+    rows = np.zeros((n, n))
+    for y, degree in enumerate(rng.integers(lo, hi + 1, size=n)):
+        others = np.delete(np.arange(n), (y - 1) % n)
+        sources = np.append(rng.choice(others, degree - 1, replace=False), (y - 1) % n)
+        rows[sources, y] = rng.random(degree) + 0.05
+    if hub:
+        rows[:, rng.integers(n)] += rng.random(n) + 0.05
+    rows /= rows.sum(axis=1, keepdims=True)
+    return tm(dims, rows)
+
+
+def padded_entries(P):
+    """(K n, nnz): the entries of P's column layout padded to its largest
+    in-degree K, and its non-zeros."""
+    _, y, _ = row_major_nonzeros(P)
+    return int(np.bincount(y).max()) * P.space.total, len(y)
+
+
+def reads_by_column(P):
+    """Whether the solve's product over P makes no ``np.bincount`` call."""
+    product = chain_core._column_product(P)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+        product(np.full(P.space.total, 1.0 / P.space.total))
+    return bincount.call_count == 0
+
+
+class TestColumnProduct:
+    """The solve of a sparse P reads its non-zeros by column, with the bits
+    of ``np.bincount`` over them in row-major order: pi bit for bit and the
+    same number of steps as :func:`naive_bincount_power_iteration`.  A P
+    whose layout would more than double its entries keeps the bincount."""
+
+    def assert_bincount_bits(self, P):
+        assert is_sparse(P)
+        want, steps, _ = naive_bincount_power_iteration(P)
+        assert np.array_equal(stationary_distribution(P).probs, want)
+        assert np.array_equal(stationary_distribution(P, max_iters=steps).probs, want)
+        if steps > 1:
+            with pytest.raises(ConvergenceError, match=f"after {steps - 1} iterations"):
+                stationary_distribution(P, max_iters=steps - 1)
+
+    @pytest.mark.parametrize("d", [6, 7, 8, 9, 10, 11, 12])
+    def test_bincount_bits_curie_weiss(self, d):
+        P, _ = curie_weiss_chain(CurieWeissParams(d, 10.0, 1.0))
+        # in-degrees d and d + 1: at most one padding entry a column
+        assert np.isin(np.bincount(P._nonzeros[1]), (d, d + 1)).all()
+        assert reads_by_column(P)
+        self.assert_bincount_bits(P)
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(sparse_chains())
+    def test_bincount_bits_random_sparse_chains(self, P):
+        self.assert_bincount_bits(P)
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(in_degree_chains(hub=False))
+    def test_bincount_bits_uneven_in_degrees(self, P):
+        padded, nnz = padded_entries(P)
+        assert padded <= 2 * nnz and reads_by_column(P)
+        self.assert_bincount_bits(P)
+
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
+    @given(in_degree_chains(hub=True))
+    def test_bincount_bits_hub_column_falls_back(self, P):
+        padded, nnz = padded_entries(P)
+        assert padded > 2 * nnz and not reads_by_column(P)
+        self.assert_bincount_bits(P)
+
+    def test_bincount_bits_periodic_chain(self):
+        self.assert_bincount_bits(chorded_cycle())
+
+    @staticmethod
+    def assert_one_product_bits(P, rng):
+        """The solve's product and the one-off product of the residual
+        checks (:func:`chain_core._left_product`) agree bit for bit."""
+        product = chain_core._column_product(P)
+        for _ in range(3):
+            v = rng.random(P.space.total)
+            assert np.array_equal(product(v), chain_core._left_product(v, P))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: curie_weiss_chain(CurieWeissParams(9, 1.0, -0.5))[0],
+        lambda rng: random_chain(rng, (2, 3, 2), stationary=False)[0],
+    ], ids=("curie-weiss", "dense"))
+    def test_bincount_bits_one_product(self, rng, make):
+        self.assert_one_product_bits(make(rng), rng)
+
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(sparse_chains(), in_degree_chains(hub=False), in_degree_chains(hub=True)),
+           st.integers(0, 2**32 - 1))
+    def test_bincount_bits_one_product_random(self, P, seed):
+        self.assert_one_product_bits(P, np.random.default_rng(seed))
+
+    def test_layout_built_once_per_call_and_not_kept(self, monkeypatch):
+        """One layout a solve, one product a step, and P holds nothing new
+        after the call beyond the verdicts of its first solve."""
+        P, _ = curie_weiss_chain(CurieWeissParams(8, 10.0, 1.0))
+        _, steps, _ = naive_bincount_power_iteration(P)
+        layouts, products = [], []
+        column_product = chain_core._column_product
+
+        def spy(M):
+            layouts.append(M)
+            product = column_product(M)
+            return lambda v: products.append(1) or product(v)
+
+        monkeypatch.setattr(chain_core, "_column_product", spy)
+        stationary_distribution(P)
+        layouts.clear()
+        products.clear()
+        held = dict(vars(P))
+        for calls in (1, 2):
+            stationary_distribution(P)
+            assert len(layouts) == calls and len(products) == calls * steps
+        assert vars(P).keys() == held.keys()
+        assert all(vars(P)[key] is value for key, value in held.items())
 
 
 class TestOneScanPerMatrix:

@@ -191,6 +191,13 @@ class TestRefusedBeforeEvaluation:
             check_k_submodular(F, SubsetMask.full(3), 2, ceiling=overlap)
         assert calls == []
 
+    @pytest.mark.parametrize("m", (0, -1))
+    def test_ratios_without_a_cardinality_constraint(self, m):
+        f, calls = _spy(lambda S: float(S.size))
+        with pytest.raises(ValidationError, match="ratios need a cardinality constraint m >= 1"):
+            ratios(f, SubsetMask.full(8), m)
+        assert calls == []
+
 
 @pytest.mark.parametrize("check, candidates", [
     (lambda f: check_submodular(f, SubsetMask.full(5)), 32),

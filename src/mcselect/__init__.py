@@ -10,6 +10,7 @@ from .chain_core import (
     SubsetMask,
     TransitionMatrix,
     ValidationError,
+    edge_measure,
     marginalize,
     matrix_power,
     stationary_distribution,

@@ -232,7 +232,7 @@ class Distribution:
         if np.any(probs < 0):
             raise ValidationError(f"negative probability at index {int(np.argmin(probs))}")
         if abs(float(probs.sum()) - 1.0) > DISTRIBUTION_TOL:
-            raise ValidationError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ValidationError(f"probabilities sum to {float(probs.sum())!r}, not 1")
 
     @property
     def min_prob(self) -> float:
@@ -262,8 +262,8 @@ class TransitionMatrix:
     Construction only checks the shape; use :func:`validate` for the
     stochasticity check.  A matrix keeps what its checks learn, so each
     check and scan runs once per matrix, however many callers ask: a pass
-    of :func:`validate` at STOCHASTIC_TOL, the irreducibility verdict, and
-    whether it is sparse.
+    of :func:`validate` at STOCHASTIC_TOL, the irreducibility verdict,
+    whether it is sparse, and the edge measure of one pi (:func:`edge_measure`).
     """
 
     space: ProductStateSpace
@@ -276,6 +276,8 @@ class TransitionMatrix:
     # () for a dense P
     _nonzeros: tuple[np.ndarray, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # set by edge_measure: the edge measure of the last pi it was given
+    _edge: "EdgeMeasure | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = _frozen(self.rows)
@@ -335,7 +337,10 @@ def _scatter(n: int, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
 def validate(P: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> None:
     """Raise :class:`ValidationError` naming the first offending row/entry.
     P keeps a pass at STOCHASTIC_TOL or tighter, so a matrix that passed
-    is not checked again at that tolerance or a looser one."""
+    is not checked again at that tolerance or a looser one.  ``tol`` must
+    be a number with 0 <= tol < inf."""
+    if not 0.0 <= tol < math.inf:  # written so that NaN fails too
+        raise ValidationError(f"stochasticity check needs 0 <= tol < inf, got {tol!r}")
     if P._stochastic and tol >= STOCHASTIC_TOL:
         return
     _check_stochastic(P, tol)
@@ -643,9 +648,17 @@ class EdgeMeasure:
     :meth:`keep_in` scatters them into an array.  The cube's pass 1, the
     run sums, depends only on the last kept coordinate, so it is computed
     at most once per coordinate, not once per mask.  Each mask is reduced
-    at most once.  The compact forms and the run sums are kept while they
-    take no more bytes than the dense cube (``held_bytes``); past that,
-    they are computed and not kept.
+    at most once.  The compact forms and the run sums are kept, first come,
+    while ``held_bytes`` stays within a cap; past that, they are computed
+    and not kept.  On the cube the cap is the cube's own size.  On a sparse
+    chain it is d * nnz compact cells at 12 bytes each (int32 index and
+    float64 value): E_S never has more cells than P has non-zeros, so the
+    cap holds the d one-short projections that every catalog build reads,
+    and it bounds a measure that lives long (7.3 MiB on Curie-Weiss d=12).
+
+    ``EdgeMeasure(P, pi)`` builds an independent measure that holds P.
+    :func:`edge_measure` gives the one that P keeps, which every objective,
+    study and distance built on the chain shares.
     """
 
     def __init__(self, P: TransitionMatrix, pi: Distribution):
@@ -657,7 +670,6 @@ class EdgeMeasure:
         self.space = P.space
         dims = P.space.dims
         n = P.space.total
-        self._held_cap = n * n * 8
         self._held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._runs: dict[int, tuple[np.ndarray]] = {}  # pass 1, by last kept coordinate
         self.held_bytes = 0
@@ -668,9 +680,11 @@ class EdgeMeasure:
             np.min_scalar_type(radix - 1)) for i, radix in enumerate(dims)]
         if _sparse_nonzeros(P) is not None:
             self._hold_nonzeros()
+            self._held_cap = P.space.d * len(self._nonzeros[0]) * 12
         else:
             self.cube = (pi.probs[:, None] * P.rows).reshape(dims + dims)
             self.cube.setflags(write=False)
+            self._held_cap = self.cube.nbytes
 
     def _hold_nonzeros(self) -> None:
         """Hold P's non-zeros weighted by pi."""
@@ -750,7 +764,8 @@ class EdgeMeasure:
     def keep_in(self, mask: SubsetMask) -> TransitionMatrix:
         """Keep-``mask``-in matrix ``P_S(x_S, y_S) = E_S(x_S, y_S) / pi_S(x_S)``:
         the hidden coordinates averaged under pi, with E_S's cells scattered
-        into a fresh ``(total_S, total_S)`` array.  The full mask gives P."""
+        into a fresh ``(total_S, total_S)`` array.  The full mask gives P
+        (the twin of P for the measure P keeps, see :func:`edge_measure`)."""
         space = self.space.subspace(mask)  # checks the mask's universe
         if mask.size == self.space.d:
             return self.P
@@ -769,6 +784,32 @@ class EdgeMeasure:
             for arr in self._support:
                 arr.setflags(write=False)
         return self._support
+
+
+def _twin(P: TransitionMatrix) -> TransitionMatrix:
+    """A matrix on P's own arrays, with what P has learnt of them, that does
+    not reference P (nor the edge measure P keeps)."""
+    _sparse_nonzeros(P)  # the verdict, learnt once for both
+    out = object.__new__(TransitionMatrix)
+    vars(out).update(vars(P), _edge=None)
+    return out
+
+
+def edge_measure(P: TransitionMatrix, pi: Distribution) -> EdgeMeasure:
+    """The edge measure of P under ``pi`` that P keeps, so that every
+    objective, study and distance built on one chain reads one set of
+    projections.  It is built on the first call and reused while the same
+    pi object is passed; another pi builds a new one, which replaces it.
+
+    P keeps the measure and the measure does not reference P: it holds a
+    twin of P on the same arrays (see :func:`_twin`), which its full mask
+    gives in place of P.  So there is no cycle, and the measure is freed
+    with P, by refcount, once no objective holds it either."""
+    edge = P._edge
+    if edge is None or edge.pi is not pi:
+        edge = EdgeMeasure(_twin(P), pi)
+        object.__setattr__(P, "_edge", edge)
+    return edge
 
 
 def tensor(matrices: Sequence[TransitionMatrix]) -> TransitionMatrix:

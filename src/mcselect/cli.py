@@ -35,11 +35,11 @@ from . import functionals, models, objectives, optimizers
 from .chain_core import (
     ConvergenceError,
     Distribution,
-    EdgeMeasure,
     GuardError,
     SubsetMask,
     TransitionMatrix,
     ValidationError,
+    edge_measure,
     marginalize,
     matrix_power,
     stationary_distribution,
@@ -363,7 +363,7 @@ def mcmc_study(
     """
     P, pi = chain
     d = P.space.d
-    edge = EdgeMeasure(P, pi)
+    edge = edge_measure(P, pi)
     functionals.assert_stationary(P, pi)
     curves: dict[int, list[float]] = {}
     distances: dict[int, float] = {}

@@ -30,6 +30,7 @@ from .chain_core import (
     SubsetMask,
     TransitionMatrix,
     ValidationError,
+    edge_measure,
     marginalize,
     stationary_residual,
     weighted_support,
@@ -200,20 +201,20 @@ def distance_to_independence(P: TransitionMatrix, pi: Distribution, S: SubsetMas
 
     Zero whenever |S| <= 1.
     """
-    return kl_to_blocks(EdgeMeasure(P, pi), [SubsetMask.of(S.d, (i,)) for i in S])
+    return kl_to_blocks(edge_measure(P, pi), [SubsetMask.of(S.d, (i,)) for i in S])
 
 
 def distance_to_factorizability(P: TransitionMatrix, pi: Distribution, S: SubsetMask) -> float:
     """D(P || P_S tensor P_-S): the information lost by splitting the
     coordinates into the two independent blocks S and its complement."""
     assert_stationary(P, pi)
-    return kl_to_blocks(EdgeMeasure(P, pi), (S, S.complement()))
+    return kl_to_blocks(edge_measure(P, pi), (S, S.complement()))
 
 
 def distance_to_stationarity(P: TransitionMatrix, pi: Distribution, S: SubsetMask) -> float:
     """D(P_S || Pi_S) where Pi_S has every row equal to pi_S."""
     assert_stationary(P, pi)
-    return kl_to_stationary(EdgeMeasure(P, pi), S)
+    return kl_to_stationary(edge_measure(P, pi), S)
 
 
 def distance_to_factorizability_fixed(
@@ -223,4 +224,4 @@ def distance_to_factorizability_fixed(
     if not W.isdisjoint(S):
         raise ValidationError("W and S must be disjoint")
     assert_stationary(P, pi)
-    return kl_to_blocks(EdgeMeasure(P, pi), (W, S))
+    return kl_to_blocks(edge_measure(P, pi), (W, S))

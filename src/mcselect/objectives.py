@@ -35,10 +35,10 @@ import numpy as np
 from . import functionals
 from .chain_core import (
     Distribution,
-    EdgeMeasure,
     SubsetMask,
     TransitionMatrix,
     ValidationError,
+    edge_measure,
     marginalize,
     tensor_dist,
 )
@@ -100,11 +100,14 @@ class Workspace:
     All catalog functions reduce to entropies of projected edge measures
     H(pi_S x P_S) and of marginals H(pi_S); both are cached per coordinate
     mask, which makes repeated marginal-gain queries cheap.  ``edge`` is the
-    chain's one :class:`EdgeMeasure`, which the direct evaluations share.
+    edge measure P keeps for pi (:func:`chain_core.edge_measure`): the
+    direct evaluations share it, and so does every objective, study and
+    distance built on the same chain and pi object, so they share the
+    projections it holds.  The scalar caches stay per Workspace.
     """
 
     def __init__(self, P: TransitionMatrix, pi: Distribution):
-        self.edge = EdgeMeasure(P, pi)
+        self.edge = edge_measure(P, pi)
         assert_stationary(P, pi)
         self.pi = pi
         self.space = P.space

@@ -144,6 +144,30 @@ class TestValidate:
     def test_curie_weiss_valid(self, cw10):
         validate(cw10[0])
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf, -math.inf])
+    def test_a_tolerance_outside_zero_to_inf_rejected(self, tol):
+        """NaN would pass any matrix, a negative tol fail every one with a
+        row message, and inf pass any finite one; the tolerance is refused
+        before P is read, here a matrix whose row sums to 1.4."""
+        P = tm((2,), np.array([[0.5, 0.9], [0.5, 0.5]]))
+        with mock.patch.object(chain_core, "_check_stochastic") as check:
+            with pytest.raises(ValidationError) as err:
+                validate(P, tol=tol)
+        assert str(err.value) == f"stochasticity check needs 0 <= tol < inf, got {tol!r}"
+        assert check.call_count == 0 and not P._stochastic
+
+    def test_a_zero_tolerance_is_a_check(self):
+        validate(tm((2,), np.eye(2)), tol=0.0)
+        with pytest.raises(ValidationError, match="row 0 sums to"):
+            validate(tm((2,), np.array([[0.5, 0.5 + 1e-16 * 3], [0.5, 0.5]])), tol=0.0)
+
+    def test_sum_message_prints_a_float(self):
+        """The text is the same under numpy 1 and 2: a float, not numpy's
+        scalar repr."""
+        with pytest.raises(ValidationError) as err:
+            dist((2,), [0.5, 0.6])
+        assert str(err.value) == "probabilities sum to 1.1, not 1"
+
 
 class TestStationary:
     def test_doubly_stochastic_uniform(self):

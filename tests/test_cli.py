@@ -241,10 +241,13 @@ class TestSelect:
         assert result.exit_code == 3
         assert "model error: objective drift" in result.output
 
-    def test_one_edge_measure_per_objective_and_sweep(self, monkeypatch, cw4):
-        """The build, the search, the certificates and the drift check all
-        read the one edge measure the objective's Workspace holds."""
-        from mcselect import chain_core, cli, objectives
+    def test_one_edge_measure_per_chain(self, monkeypatch):
+        """Every objective built on one chain and pi, with its build, search,
+        certificates and drift check, reads the one edge measure P keeps for
+        pi; so do the distance helpers and the mixing study.  Another pi
+        object builds one more, which replaces it."""
+        from mcselect import chain_core, cli, functionals, objectives
+        from mcselect.models import CurieWeissParams, curie_weiss_chain
 
         built = []
         init = chain_core.EdgeMeasure.__init__
@@ -254,12 +257,11 @@ class TestSelect:
             init(edge, *args)
 
         monkeypatch.setattr(chain_core.EdgeMeasure, "__init__", counting_init)
-        P, pi = cw4
+        P, pi = curie_weiss_chain(CurieWeissParams(4, 10.0, 1.0))
         caps = parse_ceiling("1,2|3,4", 4)
         for problem in objectives.SUBSET_PROBLEMS + objectives.PARTITION_PROBLEMS:
             if problem.endswith("entropy-product"):
                 continue  # needs a product-form chain
-            built.clear()
             if problem in objectives.PARTITION_PROBLEMS:
                 dec = objectives.build_partition_objective(
                     problem, P, pi, caps, heuristic=True, block_order=problem == "k-dist2fact")
@@ -273,6 +275,18 @@ class TestSelect:
             high = min(dec.max_support or dec.ground.size, dec.ground.size)
             cli.run_selection(dec, algorithm, list(range(low, high + 1)), oracle=True)
             assert len(built) == 1, problem
+        S = parse_coords("1,3", 4)
+        functionals.distance_to_independence(P, pi, S)
+        functionals.distance_to_factorizability(P, pi, S)
+        functionals.distance_to_stationarity(P, pi, S)
+        functionals.distance_to_factorizability_fixed(P, pi, parse_coords("2", 4), S)
+        cli.mcmc_study((P, pi), n_max=2)
+        assert len(built) == 1
+        assert chain_core.edge_measure(P, pi) is built[0]
+        other = chain_core.Distribution(pi.space, pi.probs)
+        assert chain_core.edge_measure(P, other) is built[1]
+        assert chain_core.edge_measure(P, other) is built[1]
+        assert chain_core.edge_measure(P, pi) is built[2]
 
     @pytest.mark.parametrize("args", [
         ["--problem", "dist2fact", "--algorithm", "greedy", "--block-order"],

@@ -363,8 +363,8 @@ def mcmc_study(
     """
     P, pi = chain
     d = P.space.d
-    edge = edge_measure(P, pi)
     functionals.assert_stationary(P, pi)
+    edge = edge_measure(P, pi)
     curves: dict[int, list[float]] = {}
     distances: dict[int, float] = {}
     for i in range(d):

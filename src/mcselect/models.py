@@ -152,18 +152,18 @@ def save_chain(path: str | Path, P: TransitionMatrix, pi: Distribution | None = 
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def _numbers(path: str | Path, key: str, raw, text: str) -> np.ndarray:
-    """The field ``key`` of a chain file, ``raw`` as parsed from ``text``,
-    as a float array; it must be a regular array of JSON numbers.  numpy
-    reads a string or a null into a dtype that is not numeric, but a bool
-    among numbers as a number, so the entries are looked at one by one only
+def _numbers(path: str | Path, key: str, raw, bools: bool) -> np.ndarray:
+    """The field ``key`` of a chain file, ``raw`` as parsed, as a float
+    array; it must be a regular array of JSON numbers.  numpy reads a string
+    or a null into a dtype that is not numeric, but a bool among numbers as
+    a number, so the entries are looked at one by one only when ``bools``,
     in a file that spells out a bool."""
     try:
         values = np.array(raw)
     except ValueError as err:  # rows of different lengths
         raise ValidationError(f"chain file {path}: {key} is not a regular array: {err}") from err
     numeric = values.dtype.kind in "iuf"
-    if numeric and ("true" in text or "false" in text):
+    if numeric and bools:
         numeric = not any(type(v) is bool for v in np.array(raw, dtype=object).flat)
     if not numeric:
         raise ValidationError(f"chain file {path}: {key} must be an array of JSON numbers")
@@ -179,12 +179,17 @@ def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]
     recomputed by power iteration instead.
     """
     text = Path(path).read_text()
+    # scanned once, so that neither the text nor the parsed rows outlive
+    # their reading: a matrix's rows as text and as Python floats take
+    # several times its own bytes
+    bools = "true" in text or "false" in text
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValidationError(f"malformed chain file {path}: {err}") from err
+    del text
     try:
-        d, dims, rows = doc["d"], doc["dims"], doc["transition"]
+        d, dims, rows = doc["d"], doc["dims"], doc.pop("transition")
     except (KeyError, TypeError) as err:
         raise ValidationError(f"chain file {path} is missing or corrupts a field: {err}") from err
     if type(d) is not int:
@@ -194,7 +199,8 @@ def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]
                               f"not {dims!r}")
     if len(dims) != d:
         raise ValidationError(f"chain file declares d={d} but has {len(dims)} dims")
-    transition = _numbers(path, "transition", rows, text)
+    transition = _numbers(path, "transition", rows, bools)
+    del rows
     space = ProductStateSpace(tuple(dims))
     if transition.shape != (space.total, space.total):
         raise ValidationError(
@@ -206,7 +212,7 @@ def load_chain(path: str | Path) -> tuple[TransitionMatrix, Distribution | None]
 
     pi: Distribution | None = None
     if "stationary" in doc:
-        probs = _numbers(path, "stationary", doc["stationary"], text)
+        probs = _numbers(path, "stationary", doc["stationary"], bools)
         if probs.shape != (space.total,):
             raise ValidationError("stationary vector length does not match the state space")
         pi = Distribution(space, probs)

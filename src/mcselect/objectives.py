@@ -107,8 +107,8 @@ class Workspace:
     """
 
     def __init__(self, P: TransitionMatrix, pi: Distribution):
+        assert_stationary(P, pi)  # first, so a bad pi leaves the measure P keeps
         self.edge = edge_measure(P, pi)
-        assert_stationary(P, pi)
         self.pi = pi
         self.space = P.space
         self.d = P.space.d

@@ -5,7 +5,8 @@ g of every entry that carries a guarantee passes the exhaustive oracle, and
 the distorted greedy runs meet their certificate; the distance to
 independence obeys the chain rule over a two-block split.  Over random
 sparse and dense matrices, a point lookup reads the rows and every
-reduction of the edge measure scatters to ``cube.sum``.  Over random set
+reduction of the edge measure scatters to ``cube.sum``, and a measure
+under a small cap holds its sets by its eviction rule.  Over random set
 functions, every failing oracle clause reports its first violation."""
 
 import itertools
@@ -253,6 +254,75 @@ def test_compact_reduction_scatters_to_cube_sum(chain, data):
         got = np.zeros(len(want))
         got[index] = values
         assert np.array_equal(got, want)
+
+
+def held_sets(em) -> dict:
+    """(whether a run sum, key) -> bytes of every array set ``em`` holds."""
+    return {(runs, key): sum(arr.nbytes for arr in arrays)
+            for runs, store in ((False, em._held), (True, em._runs))
+            for key, arrays in store.items()}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(matrices(), st.sampled_from((0.05, 0.1, 0.2, 0.3, 1.0)), st.data())
+def test_held_sets_follow_the_eviction_rule(chain, share, data):
+    """Random requests on one measure under a small cap, on dense and sparse
+    chains: every form and run sum it returns has the bits of a fresh
+    reduction; ``held_bytes`` is the bytes held and within the cap; a set
+    read again while held stays held.  A fresh set that does not fit
+    displaces one held set not read since it was stored, a largest one and
+    larger than itself, or, with none such, is not held."""
+    space, rows, pi, _ = chain
+    d = space.d
+    P = support_born(space, rows)
+    em, fresh = EdgeMeasure(P, pi), EdgeMeasure(P, pi)
+    em._held_cap = cap = int(em._held_cap * share)
+    fresh._held_cap = 0
+    read_again = set()
+    hold = EdgeMeasure._hold
+
+    def checked_hold(store, key, make):
+        name = (store is em._runs, key)
+        before = held_sets(em)
+        if name in before:
+            read_again.add(name)
+            out = hold(em, store, key, make)
+            assert held_sets(em) == before
+        else:
+            def make_then_look():
+                arrays = make()  # a form's reduction may hold a run sum first
+                before.clear()
+                before.update(held_sets(em))
+                return arrays
+
+            out = hold(em, store, key, make_then_look)
+            size = sum(arr.nbytes for arr in out)
+            after = held_sets(em)
+            larger = [before[k] for k in before.keys() - read_again if before[k] > size]
+            if sum(before.values()) + size <= cap:
+                assert after == {**before, name: size}
+            elif larger:
+                (gone,) = before.keys() - after.keys()
+                assert gone not in read_again and before[gone] == max(larger)
+                assert after == {**{k: v for k, v in before.items() if k != gone}, name: size}
+            else:
+                assert after == before
+        if name[0]:
+            assert out[0].tobytes() == make()[0].tobytes()
+        return out
+
+    em._hold = checked_hold
+    # every mask short of the full one, each fresh, then again at random
+    masks = range(2**d - 1)
+    requests = data.draw(st.permutations(masks)) + data.draw(
+        st.lists(st.sampled_from(masks), min_size=len(masks), max_size=2 * len(masks)))
+    for bits in requests:
+        S = SubsetMask(bits, d)
+        got, want = em._cells(S), fresh._reduce(S)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), S
+        held = held_sets(em)
+        assert em.held_bytes == sum(held.values()) <= cap
+        assert read_again <= held.keys()
 
 
 @st.composite

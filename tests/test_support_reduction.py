@@ -229,12 +229,26 @@ def test_floor_weights_are_reduced_but_not_in_the_support():
     em = EdgeMeasure(P, pi)
     assert em.cube is None
     assert len(em._nonzeros[0]) == n + 1
-    for got, want in zip(em.support(), naive_weighted_support(pi.probs, P.rows)):
-        assert np.array_equal(got, want)
+    for got, want, scanned in zip(em.support(), naive_weighted_support(pi.probs, P.rows),
+                                  chain_core.weighted_support(pi.probs, P)):
+        assert np.array_equal(got, want) and np.array_equal(got, scanned)
     assert len(em.support()[0]) == n
     cube = cube_of(P, pi)
     for S in nonempty(5):
         assert np.array_equal(scattered(em._reduce(S), cube, S), cube_sum(cube, S))
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_support_is_the_held_nonzeros(d):
+    """With no weight at or below TERM_FLOOR, a sparse chain's support is
+    the non-zeros its measure holds, not a second copy of them."""
+    P, pi = chain(d)
+    em = EdgeMeasure(P, pi)
+    assert em.cube is None
+    support = em.support()
+    assert all(got is held for got, held in zip(support, em._nonzeros))
+    for got, want in zip(support, chain_core.weighted_support(pi.probs, P)):
+        assert np.array_equal(got, want)
 
 
 def test_sparse_chain_scans_P_once(monkeypatch):

@@ -31,6 +31,7 @@ STOCHASTIC_TOL = 1e-10
 POWER_STOCHASTIC_TOL = 1e-9
 DISTRIBUTION_TOL = 1e-12
 STATIONARY_SOLVE_TOL = 1e-12
+STATIONARITY_TOL = 1e-8
 STATIONARY_MAX_ITERS = 200_000
 
 # Dense storage cap: total**2 matrix entries.
@@ -235,15 +236,6 @@ class Distribution:
             raise ValidationError(f"negative probability at index {int(np.argmin(probs))}")
         if abs(float(probs.sum()) - 1.0) > DISTRIBUTION_TOL:
             raise ValidationError(f"probabilities sum to {float(probs.sum())!r}, not 1")
-
-    @property
-    def min_prob(self) -> float:
-        return float(self.probs.min())
-
-    def require_full_support(self) -> "Distribution":
-        if self.min_prob <= 0.0:
-            raise ValidationError("distribution must have full support")
-        return self
 
 
 @dataclass(frozen=True)
@@ -493,6 +485,13 @@ def stationary_residual(P: TransitionMatrix, pi: Distribution) -> float:
     return float(np.abs(_left_product(pi.probs, P) - pi.probs).sum())
 
 
+def assert_stationary(P: TransitionMatrix, pi: Distribution, tol: float = STATIONARITY_TOL) -> None:
+    residual = stationary_residual(P, pi)
+    if residual > tol:
+        raise ValidationError(
+            f"pi is not stationary for P: ||pi P - pi||_1 = {residual:.3e} > {tol}")
+
+
 def stationary_distribution(
     P: TransitionMatrix,
     tol: float = STATIONARY_SOLVE_TOL,
@@ -678,7 +677,8 @@ class EdgeMeasure:
     def __init__(self, P: TransitionMatrix, pi: Distribution):
         if pi.space.dims != P.space.dims:
             raise ValidationError("distribution and matrix live on different spaces")
-        pi.require_full_support()
+        if pi.probs.min() <= 0.0:
+            raise ValidationError("distribution must have full support")
         self.P = P
         self.pi = pi
         self.space = P.space
@@ -848,12 +848,18 @@ def edge_measure(P: TransitionMatrix, pi: Distribution) -> EdgeMeasure:
     projections.  It is built on the first call and reused while the same
     pi object is passed; another pi builds a new one, which replaces it.
 
+    It is the one place a chain is checked, once per (P, pi object): before
+    it builds a measure, P must pass :func:`validate` (which P remembers)
+    and pi :func:`assert_stationary`, so a refused chain keeps its measure.
+
     P keeps the measure and the measure does not reference P: it holds a
     twin of P on the same arrays (see :func:`_twin`), which its full mask
     gives in place of P.  So there is no cycle, and the measure is freed
     with P, by refcount, once no objective holds it either."""
     edge = P._edge
     if edge is None or edge.pi is not pi:
+        validate(P)
+        assert_stationary(P, pi)
         edge = EdgeMeasure(_twin(P), pi)
         object.__setattr__(P, "_edge", edge)
     return edge

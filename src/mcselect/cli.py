@@ -363,7 +363,6 @@ def mcmc_study(
     """
     P, pi = chain
     d = P.space.d
-    functionals.assert_stationary(P, pi)
     edge = edge_measure(P, pi)
     curves: dict[int, list[float]] = {}
     distances: dict[int, float] = {}

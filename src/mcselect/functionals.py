@@ -13,6 +13,10 @@ rank-one stationary kernel) is read entry by entry and never built as a
 dense tensor product.  The entropy identities they satisfy for
 stationary chains are exercised by the test suite, and the fast
 entropy-based evaluation paths live with the objective constructions.
+
+The ``distance_*`` helpers read the measure ``chain_core.edge_measure``
+gives, which checks P and pi; only :func:`entropy_rate` and
+:func:`keep_in_entropy_rate`, which read no kept measure, check pi here.
 """
 
 from __future__ import annotations
@@ -24,19 +28,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain_core import (
+    STATIONARITY_TOL,
     TERM_FLOOR,
     Distribution,
     EdgeMeasure,
     SubsetMask,
     TransitionMatrix,
     ValidationError,
+    assert_stationary,
     edge_measure,
     marginalize,
-    stationary_residual,
     weighted_support,
 )
-
-STATIONARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,16 +68,6 @@ def _entropy(weights: np.ndarray) -> float:
 def shannon_entropy(mu: Distribution | np.ndarray) -> float:
     probs = mu.probs if isinstance(mu, Distribution) else np.asarray(mu, dtype=float)
     return _entropy(probs)
-
-
-def assert_stationary(
-    P: TransitionMatrix, pi: Distribution, tol: float = STATIONARITY_TOL
-) -> None:
-    residual = stationary_residual(P, pi)
-    if residual > tol:
-        raise ValidationError(
-            f"pi is not stationary for P: ||pi P - pi||_1 = {residual:.3e} > {tol}"
-        )
 
 
 def _support_in(edge: EdgeMeasure, S: SubsetMask, P_S: TransitionMatrix) -> tuple:
@@ -207,13 +200,11 @@ def distance_to_independence(P: TransitionMatrix, pi: Distribution, S: SubsetMas
 def distance_to_factorizability(P: TransitionMatrix, pi: Distribution, S: SubsetMask) -> float:
     """D(P || P_S tensor P_-S): the information lost by splitting the
     coordinates into the two independent blocks S and its complement."""
-    assert_stationary(P, pi)
     return kl_to_blocks(edge_measure(P, pi), (S, S.complement()))
 
 
 def distance_to_stationarity(P: TransitionMatrix, pi: Distribution, S: SubsetMask) -> float:
     """D(P_S || Pi_S) where Pi_S has every row equal to pi_S."""
-    assert_stationary(P, pi)
     return kl_to_stationary(edge_measure(P, pi), S)
 
 
@@ -223,5 +214,4 @@ def distance_to_factorizability_fixed(
     """D(P_{W u S} || P_W tensor P_S) for disjoint W and S."""
     if not W.isdisjoint(S):
         raise ValidationError("W and S must be disjoint")
-    assert_stationary(P, pi)
     return kl_to_blocks(edge_measure(P, pi), (W, S))

@@ -42,7 +42,6 @@ from .chain_core import (
     marginalize,
     tensor_dist,
 )
-from .functionals import assert_stationary
 
 PRODUCT_FORM_TOL = 1e-10
 
@@ -100,14 +99,14 @@ class Workspace:
     All catalog functions reduce to entropies of projected edge measures
     H(pi_S x P_S) and of marginals H(pi_S); both are cached per coordinate
     mask, which makes repeated marginal-gain queries cheap.  ``edge`` is the
-    edge measure P keeps for pi (:func:`chain_core.edge_measure`): the
-    direct evaluations share it, and so does every objective, study and
-    distance built on the same chain and pi object, so they share the
-    projections it holds.  The scalar caches stay per Workspace.
+    edge measure P keeps for pi (:func:`chain_core.edge_measure`), which
+    checks P and pi before it builds one: the direct evaluations share it,
+    and so does every objective, study and distance built on the same chain
+    and pi object, so they share the projections it holds.  The scalar
+    caches stay per Workspace.
     """
 
     def __init__(self, P: TransitionMatrix, pi: Distribution):
-        assert_stationary(P, pi)  # first, so a bad pi leaves the measure P keeps
         self.edge = edge_measure(P, pi)
         self.pi = pi
         self.space = P.space

@@ -196,17 +196,34 @@ def test_sparse_cap_holds_across_the_catalog(monkeypatch):
     assert edge.held_bytes == held and not edge._runs
 
 
+def _pair(P) -> SubsetMask:
+    """S = {1, 3}, or {1} on a chain with fewer than four coordinates."""
+    d = P.space.d
+    return SubsetMask.of(d, (1, 3) if d > 3 else (1,))
+
+
+# everything in src/ that reaches a chain's measure through edge_measure
 CONSUMERS = {
     "workspace": objectives.Workspace,
+    "entropy": lambda P, pi: objectives.build_subset_objective("entropy", P, pi),
     "mcmc_study": lambda P, pi: cli.mcmc_study((P, pi), n_max=2),
+    "distance_to_independence":
+        lambda P, pi: functionals.distance_to_independence(P, pi, _pair(P)),
+    "distance_to_factorizability":
+        lambda P, pi: functionals.distance_to_factorizability(P, pi, _pair(P)),
+    "distance_to_stationarity":
+        lambda P, pi: functionals.distance_to_stationarity(P, pi, _pair(P)),
+    "distance_to_factorizability_fixed":
+        lambda P, pi: functionals.distance_to_factorizability_fixed(
+            P, pi, SubsetMask.of(P.space.d, (0,)), _pair(P)),
 }
 
 
 @pytest.mark.parametrize("consumer", sorted(CONSUMERS))
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_a_bad_pi_leaves_the_measure_its_chain_keeps(name, consumer):
-    """pi is checked for stationarity before the measure is looked up, so a
-    consumer that refuses a bad pi neither builds a measure on it nor
+    """edge_measure checks pi for stationarity before it builds a measure,
+    so a consumer that refuses a bad pi neither builds a measure on it nor
     replaces the one P keeps."""
     P, pi = CHAINS[name][0]()
     edge = edge_measure(P, pi)
@@ -217,6 +234,47 @@ def test_a_bad_pi_leaves_the_measure_its_chain_keeps(name, consumer):
     with pytest.raises(ValidationError, match="not stationary"):
         CONSUMERS[consumer](P, bad)
     assert edge_measure(P, pi) is edge and edge.held_bytes == held
+
+
+def test_a_non_stochastic_chain_is_refused():
+    """A P with an entry outside [0, 1] is refused by every consumer, even
+    when pi is stationary for it (this doubly stochastic P has residual 0
+    under the uniform law), and P keeps no measure."""
+    rows = [[.6, .6, -.2, 0], [.6, -.2, 0, .6], [-.2, 0, .6, .6], [0, .6, .6, -.2]]
+    P = chain_core.TransitionMatrix(chain_core.ProductStateSpace((2, 2)), np.array(rows))
+    pi = Distribution(P.space, np.full(4, 0.25))
+    assert chain_core.stationary_residual(P, pi) == 0.0
+    for name, consumer in sorted(CONSUMERS.items()):
+        with pytest.raises(ValidationError, match=r"^entry \(0, 2\) = -0\.2 outside \[0, 1\]$"):
+            consumer(P, pi)
+        assert P._edge is None, name
+
+
+def test_a_chain_is_checked_once_per_pi(monkeypatch):
+    """Every objective, distance helper and study on one (P, pi) reads the
+    measure P keeps, which checked stationarity once, when it was built; a
+    new pi object with the same values is checked again."""
+    P, pi = curie_weiss_chain(CurieWeissParams(6, 10.0, 1.0))
+    residual = chain_core.stationary_residual
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    for module in (chain_core, functionals, objectives, cli):
+        if getattr(module, "stationary_residual", None) is residual:
+            monkeypatch.setattr(module, "stationary_residual", counted)
+    for problem in ("entropy", "dist2fact", "dist2indp", "dist2stat"):
+        objectives.build_subset_objective(problem, P, pi, heuristic=True)
+    for consumer in ("distance_to_factorizability", "distance_to_stationarity",
+                     "distance_to_factorizability_fixed", "mcmc_study"):
+        CONSUMERS[consumer](P, pi)
+    assert len(calls) == 1
+    edge = edge_measure(P, pi)
+    again = Distribution(pi.space, pi.probs.copy())
+    objectives.Workspace(P, again)
+    assert len(calls) == 2 and edge_measure(P, again) is not edge
 
 
 def test_dense_chain_keeps_the_cube_cap():

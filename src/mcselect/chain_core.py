@@ -248,10 +248,10 @@ class TransitionMatrix:
     scan of them; one built from its non-zeros, :meth:`_from_support`,
     holds only those and builds ``rows`` on first access.  Validation, the
     irreducibility search, the stationary solve and its residual, point
-    lookups (:meth:`at`) and :class:`EdgeMeasure` read held non-zeros, so
-    only the consumers that need all n^2 entries build rows:
-    :func:`matrix_power` and :func:`worst_case_tv`, :func:`tensor`, the
-    sampler of the mixing study and ``models.save_chain``.
+    lookups (:meth:`at`), :class:`EdgeMeasure` and the sampler of the
+    mixing study read held non-zeros (:func:`nonzeros`), so only the
+    consumers that need all n^2 entries build rows: :func:`matrix_power`
+    and :func:`worst_case_tv`, :func:`tensor` and ``models.save_chain``.
 
     Construction only checks the shape; use :func:`validate` for the
     stochasticity check.  A matrix keeps what its checks learn, so each
@@ -381,6 +381,12 @@ def _scan(P: TransitionMatrix) -> tuple[np.ndarray, ...]:
     return entries
 
 
+def nonzeros(P: TransitionMatrix) -> tuple[np.ndarray, ...]:
+    """P's non-zeros (x, y, P(x, y)) in row-major order: the arrays a sparse
+    P holds, or a fresh scan of a dense P's rows."""
+    return P._nonzeros or _scan(P)
+
+
 def _sparse_nonzeros(P: TransitionMatrix) -> tuple[np.ndarray, ...] | None:
     """The non-zeros a sparse P keeps (see :func:`_scan`), None for a dense
     P; only the first call on a matrix scans it."""
@@ -409,7 +415,7 @@ def _require_irreducible(P: TransitionMatrix) -> None:
     matrix is searched once, however many callers ask."""
     if P._irreducible:
         return
-    x, y, _ = P._nonzeros or _scan(P)
+    x, y, _ = nonzeros(P)
     for src, dst, direction in ((x, y, "unreachable from"), (y, x, "cannot reach")):
         seen = _reached(src, dst, P.space.total)
         if not seen.all():
@@ -558,7 +564,7 @@ def weighted_support(mu: np.ndarray, M: TransitionMatrix) -> tuple[np.ndarray, .
     """The entries (x, y) with mu(x) M(x, y) > TERM_FLOOR, in row-major
     order, with M(x, y) and the weight mu(x) M(x, y) at each.  A matrix
     that holds its non-zeros is read from them, any other is scanned."""
-    x, y, m = M._nonzeros or _scan(M)
+    x, y, m = nonzeros(M)
     w = mu[x] * m
     keep = w > TERM_FLOOR
     return (x, y, m, w) if keep.all() else tuple(arr[keep] for arr in (x, y, m, w))
@@ -707,7 +713,7 @@ class EdgeMeasure:
 
     def _hold_nonzeros(self) -> None:
         """Hold P's non-zeros weighted by pi."""
-        x, y, p = self.P._nonzeros or _scan(self.P)
+        x, y, p = nonzeros(self.P)
         self._nonzeros = (x, y, p, self.pi.probs[x] * p)
         for arr in self._nonzeros:
             arr.setflags(write=False)

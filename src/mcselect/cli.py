@@ -42,6 +42,7 @@ from .chain_core import (
     edge_measure,
     marginalize,
     matrix_power,
+    nonzeros,
     stationary_distribution,
     stationary_residual,
     worst_case_tv,
@@ -334,15 +335,47 @@ class MixingStudy:
     sample_tv: dict[str, list[float]] | None = None
 
 
-def _step(cumulative: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One inverse-CDF step of every sample: sample t moves from states[t]
-    to the first y with u[t] <= cumulative[states[t], y].  One search per
-    occupied state, over the samples that sit in it."""
-    order = np.argsort(states, kind="stable")
-    occupied, starts = np.unique(states[order], return_index=True)
-    moved = np.empty_like(states)
-    for s, group in zip(occupied, np.split(order, starts[1:])):
-        moved[group] = np.searchsorted(cumulative[s], u[group])
+def _inverse_cdf(x: np.ndarray, y: np.ndarray, p: np.ndarray,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's table of the n-state kernel with the non-zeros ``p``
+    at ``(x, y)``, in row-major order: two (K, n) arrays whose column s
+    holds row s's non-zero columns and their cumulative sums, zero-padded
+    (so the padding repeats the row's last sum) to K, the least power of
+    two that holds the longest row."""
+    counts = np.bincount(x, minlength=n)
+    slot = np.arange(len(x)) - np.repeat(np.cumsum(counts) - counts, counts)
+    K = 1 << int(counts.max(initial=1) - 1).bit_length()
+    columns = np.zeros((K, n), dtype=np.intp)
+    weights = np.zeros((K, n))
+    columns[slot, x] = y
+    weights[slot, x] = p
+    return columns, np.cumsum(weights, axis=0)
+
+
+def _step(table: tuple[np.ndarray, np.ndarray], states: np.ndarray,
+          u: np.ndarray) -> np.ndarray:
+    """One inverse-CDF step of every sample: sample t moves to the index
+    ``np.searchsorted`` gives u[t] on the cumulative row of states[t]
+    (column 0 for u = 0).  A zero entry of that row repeats the sum before
+    it and adding 0.0 changes no bit, so the index is the non-zero column k
+    of the :func:`_inverse_cdf` table, where k counts the padded sums below
+    u: found bit by bit, in log2(K) lookups.  A u above the last sum is
+    refused."""
+    columns, sums = table
+    n = sums.shape[1]
+    flat = sums.reshape(-1)
+    at = states.copy()  # k * n + states[t], as k grows
+    half = len(sums) // 2
+    while half:
+        at += (flat.take(at + (half - 1) * n) < u) * (half * n)
+        half //= 2
+    beyond = np.flatnonzero(sums[-1].take(states) < u)
+    if beyond.size:
+        t = int(beyond[0])
+        raise ValidationError(f"state {states[t]}: u = {float(u[t])!r} lies above its last "
+                              f"cumulative sum {float(sums[-1, states[t]])!r}")
+    moved = columns.reshape(-1).take(at)
+    moved[u == 0.0] = 0
     return moved
 
 
@@ -361,6 +394,9 @@ def mcmc_study(
     and the factorized kernel (P_-i*)^n x (P_i*)^n is compared against the
     full stationary law at n = n_max.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if value < 0:
+            raise ValidationError(f"{name} must be >= 0, got {value}")
     P, pi = chain
     d = P.space.d
     edge = edge_measure(P, pi)
@@ -389,20 +425,21 @@ def mcmc_study(
     grid = np.arange(P.space.total)
     x, y = grid[:, None], grid[None, :]
     powered = [matrix_power(P_minus, n_max), matrix_power(P_single, n_max)]
-    aligned = functionals.product_at(powered, codes, x, y)
-    tv_factorized = float(np.abs(aligned - pi.probs[None, :]).sum(axis=1).max() / 2.0)
+    tv_factorized = float(np.abs(functionals.product_at(powered, codes, x, y)
+                                 - pi.probs[None, :]).sum(axis=1).max() / 2.0)
 
     sample_tv = None
     if samples > 0:
         factor_step = functionals.product_at([P_minus, P_single], codes, x, y)
+        fx, fy = np.nonzero(factor_step)
+        tables = {"original": _inverse_cdf(*nonzeros(P), P.space.total),
+                  "factorized": _inverse_cdf(fx, fy, factor_step[fx, fy], P.space.total)}
         rng = np.random.Generator(np.random.Philox(seed))
         sample_tv = {}
-        for label, kernel in (("original", P.rows), ("factorized", factor_step)):
+        for label, table in tables.items():
             states = np.zeros(samples, dtype=int)
-            cumulative = np.cumsum(kernel, axis=1)
             for _ in range(n_max):
-                u = rng.random(samples)
-                states = _step(cumulative, states, u)
+                states = _step(table, states, rng.random(samples))
             counts = np.bincount(states, minlength=P.space.total) / samples
             sample_tv[label] = [float(np.abs(counts - pi.probs).sum() / 2.0)]
     return MixingStudy(d, n_max, curves, distances, i_star, tv_original, tv_factorized, sample_tv)
@@ -519,10 +556,9 @@ def cmd_mcmc(d, temperature, field, n_max, split, samples, seed, out, json_out, 
     """Leave-one-out mixing study and factorized-sampler comparison."""
     if split is not None and not 1 <= split <= d:
         raise click.UsageError(f"--split {split} must lie in 1..{d}")
-    if n_max < 0:
-        raise click.UsageError(f"--n-max must be >= 0, got {n_max}")
-    if samples < 0:
-        raise click.UsageError(f"--samples must be >= 0, got {samples}")
+    for flag, value in (("--n-max", n_max), ("--samples", samples), ("--seed", seed)):
+        if value < 0:
+            raise click.UsageError(f"{flag} must be >= 0, got {value}")
     _finite_field(field)
     with exit_codes():
         chain = models.curie_weiss_chain(models.CurieWeissParams(d=d, T=temperature, h=field))

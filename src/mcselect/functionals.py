@@ -15,8 +15,9 @@ stationary chains are exercised by the test suite, and the fast
 entropy-based evaluation paths live with the objective constructions.
 
 The ``distance_*`` helpers read the measure ``chain_core.edge_measure``
-gives, which checks P and pi; only :func:`entropy_rate` and
-:func:`keep_in_entropy_rate`, which read no kept measure, check pi here.
+gives, which checks P and pi; :func:`entropy_rate` and :func:`kl_rate`,
+which read no kept measure, check every matrix they are given here, and
+:func:`entropy_rate` and :func:`keep_in_entropy_rate` check pi.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .chain_core import (
     assert_stationary,
     edge_measure,
     marginalize,
+    validate,
     weighted_support,
 )
 
@@ -94,6 +96,7 @@ def entropy_rate(
     P: TransitionMatrix, pi: Distribution, stationarity_tol: float = STATIONARITY_TOL
 ) -> float:
     """Entropy rate -sum_x sum_y pi(x) P(x,y) ln P(x,y) of a stationary chain."""
+    validate(P)
     assert_stationary(P, pi, stationarity_tol)
     _, _, p, w = weighted_support(pi.probs, P)
     return float(-(w * np.log(p)).sum())
@@ -113,11 +116,14 @@ def keep_in_entropy_rate(edge: EdgeMeasure, S: SubsetMask) -> float:
 def kl_rate(M: TransitionMatrix, L: TransitionMatrix, pi: Distribution) -> KLResult:
     """KL divergence rate sum_x pi(x) sum_y M(x,y) ln(M(x,y)/L(x,y)).
 
-    ``pi`` need not be stationary for either kernel.  Returns the +inf flag
-    with a witnessing pair when absolute continuity fails.
+    ``pi`` need not be stationary for either kernel, but both must pass
+    ``validate``.  Returns the +inf flag with a witnessing pair when
+    absolute continuity fails.
     """
     if M.space.dims != L.space.dims or M.space.dims != pi.space.dims:
         raise ValidationError("M, L, pi must live on the same space")
+    validate(M)
+    validate(L)
     return _kl(weighted_support(pi.probs, M), L.at)
 
 

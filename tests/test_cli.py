@@ -1,14 +1,18 @@
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_naive import random_reversible_chain, stationary_kernel
-from mcselect.cli import main, mcmc_study, parse_ceiling, parse_coords
+from mcselect.chain_core import ValidationError
+from mcselect.cli import _inverse_cdf, _step, main, mcmc_study, parse_ceiling, parse_coords
 from mcselect.models import save_chain
 
 SPARSE_CHAIN = Path(__file__).parent / "data" / "cw6_unsolved.json"
@@ -365,10 +369,49 @@ class TestSelect:
         assert text.startswith("<svg") and "polyline" in text
 
 
+def sampler_table(kernel):
+    """The sampler's table of a dense kernel, from its row-major non-zeros."""
+    x, y = np.nonzero(kernel)
+    return _inverse_cdf(x, y, kernel[x, y], len(kernel))
+
+
+def dense_search(kernel, states, u):
+    """Each sample's next state by the dense inverse CDF of its row."""
+    return np.array([int(np.searchsorted(np.cumsum(kernel[s]), x)) for s, x in zip(states, u)],
+                    dtype=int)
+
+
+@st.composite
+def sampler_cases(draw):
+    """A random sparse kernel on 1..12 states, some of whose rows have a
+    single non-zero and whose column 0 may be all zero, 300 samples that
+    leave a state unoccupied, and for each a u from its own row: a
+    cumulative sum, one float below or above it, 0.0, or a uniform draw,
+    never above the row's last sum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    zeros = draw(st.sampled_from((0.0, 0.5, 0.9)))
+    kernel = rng.random((n, n)) ** 4 * (rng.random((n, n)) >= zeros)
+    kernel[np.arange(n), rng.integers(0, n, size=n)] += 0.5  # no empty row
+    single = rng.random(n) < 0.25
+    kernel[single] = np.eye(n)[rng.integers(0, n, size=int(single.sum()))]
+    if n > 1 and draw(st.booleans()):
+        kernel[:, 0] = 0.0
+        kernel[kernel.sum(axis=1) == 0.0, n - 1] = 1.0
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    cumulative = np.cumsum(kernel, axis=1)
+    states = rng.integers(0, n, size=300)
+    states[states == n - 1] = 0  # state n - 1 unoccupied, unless n = 1
+    u = cumulative[states, rng.integers(0, n, size=300)]
+    u = np.where(rng.random(300) < 0.3, np.nextafter(u, -np.inf), u)
+    u = np.where(rng.random(300) < 0.3, np.nextafter(u, np.inf), u)
+    u = np.where(rng.random(300) < 0.1, 0.0, u)
+    u = np.where(rng.random(300) < 0.2, rng.random(300), u)
+    return kernel, states, np.clip(u, 0.0, cumulative[states, -1])
+
+
 class TestMcmc:
     def test_sampler_step_matches_the_per_sample_search(self, rng):
-        from mcselect.cli import _step
-
         kernel = rng.random((7, 7)) ** 4
         kernel[2, :] = 0.0
         kernel[2, 5] = 1.0  # a row whose only mass sits in one state
@@ -378,7 +421,58 @@ class TestMcmc:
         states[states == 4] = 3  # an unoccupied state
         u = rng.random(2000)
         want = np.array([int(np.searchsorted(cumulative[s], x)) for s, x in zip(states, u)])
-        assert np.array_equal(_step(cumulative, states, u), want)
+        assert np.array_equal(_step(sampler_table(kernel), states, u), want)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(sampler_cases())
+    def test_sampler_step_is_the_dense_search(self, case):
+        """The padded table gives np.searchsorted's index on the dense
+        cumulative row, bit for bit, at and next to every cumulative sum."""
+        kernel, states, u = case
+        assert np.array_equal(_step(sampler_table(kernel), states, u),
+                              dense_search(kernel, states, u))
+
+    def test_sampler_step_takes_column_0_at_u_zero(self):
+        """The dense search sends u = 0.0 to column 0, even where the row
+        has no mass there; the step does the same."""
+        kernel = np.array([[0.0, 0.25, 0.75], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]])
+        states, u = np.array([0, 1, 2, 0]), np.array([0.0, 0.0, 0.0, 0.25])
+        assert dense_search(kernel, states, u).tolist() == [0, 0, 0, 1]
+        assert _step(sampler_table(kernel), states, u).tolist() == [0, 0, 0, 1]
+
+    def test_sampler_step_refuses_u_above_the_last_sum(self):
+        """Where the row's mass falls short of u, the dense search gives the
+        state n, which does not exist; the step names the state and u."""
+        kernel = np.array([[0.5, 0.25], [0.0, 1.0]])
+        states, u = np.array([1, 0]), np.array([0.5, 0.8])
+        assert dense_search(kernel, states, u).tolist() == [1, 2]
+        with pytest.raises(ValidationError, match=r"state 0: u = 0.8 lies above its last "
+                                                  r"cumulative sum 0.75"):
+            _step(sampler_table(kernel), states, u)
+
+    def test_study_refuses_negative_seed_and_samples(self, cw4):
+        for kwargs, name in (({"seed": -1}, "seed"), ({"samples": -5}, "samples")):
+            with pytest.raises(ValidationError, match=f"{name} must be >= 0"):
+                mcmc_study(cw4, n_max=1, **kwargs)
+
+    def test_study_peak_stays_below_3_25_mib(self, cw4):
+        """The sampler holds each kernel's non-zero columns and cumulative
+        sums as (K, n) tables and moves every sample at once.  On Curie-Weiss
+        d=8 with n_max=10 and 20000 samples, the study's traced peak was
+        3.75 MiB with the dense cumulative rows and a search per occupied
+        state, and is 2.7 MiB now (the worst-case TVs set it)."""
+        from mcselect.models import CurieWeissParams, curie_weiss_chain
+
+        mcmc_study(cw4, n_max=1, samples=1)  # first-use imports stay out of the peak
+        chain = curie_weiss_chain(CurieWeissParams(8, 10.0, 1.0))
+        tracemalloc.start()
+        try:
+            study = mcmc_study(chain, n_max=10, samples=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert study.sample_tv is not None
+        assert peak < 3.25 * 2**20
 
     def test_summary_and_curves(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -427,6 +521,8 @@ class TestMcmc:
         (["--split", "9"], "--split"),
         (["--n-max", "-1"], "--n-max"),
         (["--samples", "-5"], "--samples"),
+        (["--seed", "-1"], "--seed"),
+        (["--samples", "10", "--seed", "-1"], "--seed"),
         (["--h", "nan"], "--h"),
     ])
     def test_flag_errors_are_usage_errors(self, args, flag):

@@ -89,6 +89,13 @@ class TestEntropyRate:
         with pytest.raises(ValidationError, match="stationary"):
             entropy_rate(P, skew)
 
+    def test_rejects_a_non_stochastic_matrix(self):
+        """Uniform pi is stationary for this P, whose -0.2 entries the
+        support would drop silently (the rate read -0.2188 unchecked)."""
+        P = tm((2,), [[1.2, -0.2], [-0.2, 1.2]])
+        with pytest.raises(ValidationError, match=r"entry \(0, 0\) = 1.2 outside \[0, 1\]"):
+            entropy_rate(P, dist((2,), [0.5, 0.5]))
+
     def test_against_naive(self, rng):
         P, pi = random_reversible_chain(rng, (2, 2))
         got = entropy_rate(P, pi)
@@ -117,6 +124,15 @@ class TestKLRate:
         pi = dist((2,), [0.5, 0.5])
         # 0.5 KL((.5,.5)||(.9,.1)) + 0.5 KL((.5,.5)||(.1,.9)) = 0.5 ln(25/9)
         assert abs(kl_rate(M, L, pi).value - 0.5108256237659907) <= 1e-12
+
+    @pytest.mark.parametrize("bad", ["M", "L"])
+    def test_rejects_a_non_stochastic_kernel(self, bad):
+        """Unchecked, kl_rate(P, P, pi) read 0.0 for this P."""
+        P = tm((2,), [[1.2, -0.2], [-0.2, 1.2]])
+        Q = tm((2,), [[0.5, 0.5], [0.5, 0.5]])
+        M, L = (P, Q) if bad == "M" else (Q, P)
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            kl_rate(M, L, dist((2,), [0.5, 0.5]))
 
     def test_non_negative_and_zero_iff_equal(self, rng):
         for _ in range(5):

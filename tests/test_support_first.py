@@ -149,7 +149,8 @@ def test_select_builds_no_dense_rows(name, tmp_path, monkeypatch):
 
 
 def test_mcmc_builds_the_rows_once(tmp_path, monkeypatch):
-    """The sampler and the worst-case TV need all of P's entries."""
+    """The worst-case TV needs all of P's entries; the sampler reads its
+    non-zeros."""
     built = spy_on_dense_rows(monkeypatch)
     result = CliRunner().invoke(main, ["mcmc", *MCMC_ARGS, "--out", str(tmp_path / "mcmc.csv")],
                                 catch_exceptions=False)
